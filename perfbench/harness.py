@@ -9,7 +9,7 @@ times are kept alongside for the run record.
 
 from __future__ import annotations
 
-import os
+import json
 import resource
 import statistics
 import subprocess
@@ -23,6 +23,7 @@ from calib import Clock
 from tracing import Tracer
 from workloads import Workload
 
+IMPORT_REPS = 15
 SETUP_REPS = 3
 
 
@@ -34,6 +35,8 @@ class Run:
     wall_latencies: list[float] = field(default_factory=list)
     setup_times: list[float] = field(default_factory=list)
     wall_setup_times: list[float] = field(default_factory=list)
+    import_times: list[float] = field(default_factory=list)
+    wall_import_times: list[float] = field(default_factory=list)
     f1: list[float] = field(default_factory=list)
     overheads: list[float] = field(default_factory=list)
     calibration_s: list[float] = field(default_factory=list)
@@ -56,41 +59,59 @@ def tail(values: list[float]) -> tuple[float, float]:
     return ordered[n - 11], 100.0 * (n - 10) / n
 
 
-def import_probe(src: Path) -> None:
-    """Import opcausal in a fresh interpreter, as each CLI invocation does.
+# Imports opcausal in a fresh interpreter, timed by an import-shaped probe;
+# numpy and the probe are loaded first and not counted.
+IMPORT_CHILD = """
+import importlib, json, sys
+sys.path[:0] = sys.argv[1:3]
+from calib import import_clock
+_, wall, scale = import_clock().time(importlib.import_module, "opcausal")
+print(json.dumps([wall, scale]))
+"""
 
-    No timeout: with one, the wait polls and rounds the time up to its
-    polling step (tens of milliseconds).
-    """
-    subprocess.run(
-        [sys.executable, "-c", "import opcausal"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+
+def import_probe(src: Path) -> tuple[float, float]:
+    """(wall seconds, scale) of one fresh-interpreter import of opcausal,
+    the import each CLI invocation pays."""
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD, str(Path(__file__).resolve().parent), str(src)],
+        capture_output=True,
+        text=True,
         check=True,
+        timeout=60,
     )
+    wall, scale = json.loads(out.stdout)
+    return wall, scale
 
 
 def _setup(workload: Workload, seed: int, workdir: Path, src: Path, run: Run, clock, tracer):
-    """Set up SETUP_REPS times; each time is a fresh-interpreter import of
-    opcausal (wall time: it runs in another process, which the speed probe
-    cannot see) plus the workload's own set-up (reference seconds)."""
+    """Time set-up as the median of IMPORT_REPS fresh-interpreter imports of
+    opcausal plus the median of SETUP_REPS workload set-ups.
 
-    def prepare(rep):
+    The import is timed inside the child, since the speed probe of this
+    process cannot see another process, and the speed of the two cores
+    changes independently. Single imports spread by about 0.12 of their
+    median, hence the many repetitions.
+    """
+    imports = [import_probe(src) for _ in range(IMPORT_REPS)]
+    run.import_times = [wall * scale for wall, scale in imports]
+    run.wall_import_times = [wall for wall, _ in imports]
+
+    def prepare(rep, input_seed):
         if tracer is None:
-            return workload.setup(seed, workdir)
+            return workload.setup(input_seed, workdir)
         tracer.install(f"setup-{rep}")
         try:
-            return workload.setup(seed, workdir)
+            return workload.setup(input_seed, workdir)
         finally:
             tracer.uninstall()
 
+    input_seed, _ = workload.item_input(seed, 0)
     state = None
     for rep in range(SETUP_REPS):
-        start = time.perf_counter()
-        import_probe(src)
-        probe = time.perf_counter() - start
-        state, wall, scale = clock.time(prepare, rep)
-        run.wall_setup_times.append(probe + wall)
-        run.setup_times.append(probe + wall * scale)
+        state, wall, scale = clock.time(prepare, rep, input_seed)
+        run.wall_setup_times.append(wall)
+        run.setup_times.append(wall * scale)
         if tracer is not None:
             tracer.scales[f"setup-{rep}"] = scale
     return state
@@ -135,7 +156,7 @@ def measure(
     loop_start = time.perf_counter()
     k = 0
     while k == 0 or time.perf_counter() - loop_start + _expected(run) / 2 <= seconds:
-        input_seed, expected = workload.item_input(state, seed, k)
+        input_seed, expected = workload.item_input(seed, k)
         if tracer is None:
             wall, scale = _item(workload, state, input_seed, expected, run, clock)
             run.wall_latencies.append(wall)
@@ -176,24 +197,36 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _timings(latencies, imports, setups) -> dict[str, float]:
+    n = len(latencies)
+    return {
+        "items_per_s": n / sum(latencies),
+        "latency_p50_s": statistics.median(latencies),
+        "latency_tail_s": tail(latencies)[0],
+        "setup_s": statistics.median(imports) + statistics.median(setups),
+    }
+
+
 def end_to_end(run: Run) -> tuple[dict[str, float], dict[str, str]]:
-    """End-to-end metric values, and a note on the samples behind each."""
+    """End-to-end metric values, and a note on the samples behind each.
+
+    The notes give each timing in wall seconds too: a gain in reference
+    seconds that is absent from wall time is the probe's, not the program's.
+    """
     n = len(run.latencies)
-    tail_value, tail_pct = tail(run.latencies)
-    values = {
-        "items_per_s": n / sum(run.latencies),
-        "latency_p50_s": statistics.median(run.latencies),
-        "latency_tail_s": tail_value,
-        "setup_s": statistics.median(run.setup_times),
-        "peak_rss_mb": peak_rss_mb(),
-        "f1_mean": statistics.fmean(run.f1) if run.f1 else 0.0,
-    }
+    values = _timings(run.latencies, run.import_times, run.setup_times)
+    wall = _timings(run.wall_latencies, run.wall_import_times, run.wall_setup_times)
     notes = {
-        "items_per_s": f"{n} items in {sum(run.wall_latencies):.3f} wall s",
+        "items_per_s": f"{n} items",
         "latency_p50_s": f"median of {n} items",
-        "latency_tail_s": f"p{tail_pct:.1f} of {n} items",
-        "setup_s": f"median of {len(run.setup_times)} set-ups",
-        "peak_rss_mb": "whole process",
-        "f1_mean": f"mean of {len(run.f1)} scored networks",
+        "latency_tail_s": f"p{tail(run.latencies)[1]:.1f} of {n} items",
+        "setup_s": f"median of {len(run.import_times)} imports + median of "
+        f"{len(run.setup_times)} set-ups",
     }
+    for name in wall:
+        notes[name] += f"; wall {wall[name]:.6g}"
+    values["peak_rss_mb"] = peak_rss_mb()
+    values["f1_mean"] = statistics.fmean(run.f1) if run.f1 else 0.0
+    notes["peak_rss_mb"] = "whole process"
+    notes["f1_mean"] = f"mean of {len(run.f1)} scored networks"
     return values, notes

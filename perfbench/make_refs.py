@@ -41,13 +41,9 @@ def main(names: list[str]) -> None:
     try:
         for name in names or POOL_SIZES:
             workload = workloads.WORKLOADS[name]()
-            workload.pool = [(s, "") for s in pool_seeds(name)]
-            pool = []
-            for i, (seed, _) in enumerate(workload.pool):
-                state = workload.setup(i, workdir)
-                pool.append([seed, workload.run_item(state, seed).digest])
-                print(f"{name} {i + 1}/{len(workload.pool)}", file=sys.stderr)
-            computed[name] = {"T": workload.T, "pool": pool}
+            pool = workloads.reference_digests(workload, pool_seeds(name), workdir)
+            computed[name] = {"T": workload.T, "pool": [list(entry) for entry in pool]}
+            print(f"{name}: {len(pool)} references", file=sys.stderr)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     refs = {}

@@ -18,6 +18,7 @@ import os
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -46,20 +47,13 @@ def cap_threads() -> None:
 
 
 def git_sha() -> str | None:
-    git = ROOT / ".git"
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def cpu_model() -> str | None:
@@ -100,6 +94,8 @@ def run_record(args, np, run, notes) -> dict:
         "fail_frac": run.failed / run.attempted,
         "samples": notes,
         "reference_speed": "times scaled by calib.REF_S / calibration kernel time",
+        "import_s_scaled": run.import_times,
+        "import_s_wall": run.wall_import_times,
         "setup_s_scaled": run.setup_times,
         "setup_s_wall": run.wall_setup_times,
         "item_latency_s_scaled": run.latencies,

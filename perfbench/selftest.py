@@ -29,16 +29,6 @@ def _check(ok: bool, what: str) -> None:
     print(f"ok  {what}")
 
 
-def _reference_pool(workload, seeds, workdir):
-    """Digest of each input from the untraced item, which calls infer_network."""
-    workload.pool = [(s, "") for s in seeds]
-    pool = []
-    for i, seed in enumerate(seeds):
-        state = workload.setup(i, workdir)
-        pool.append((seed, workload.run_item(state, seed).digest))
-    workload.pool = pool
-
-
 def _report(workload, trace: int) -> tuple[dict, str]:
     args = argparse.Namespace(workload=workload.name, seed=0, seconds=0.0, trace=trace)
     out = io.StringIO()
@@ -48,10 +38,12 @@ def _report(workload, trace: int) -> tuple[dict, str]:
 
 
 def check_workload(workload, seeds, spec, expect_layers, expect_counts) -> None:
+    import workloads
+
     workdir = run.BENCH / "_work" / f"selftest-{workload.name}"
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        _reference_pool(workload, seeds, workdir)
+        workload.pool = workloads.reference_digests(workload, seeds, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     name = f"{workload.name} (T={workload.T})"

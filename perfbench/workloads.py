@@ -5,6 +5,7 @@ hashes are committed in refs.json. With workload seed w, item k of
 ar_sweep and nmm_delta uses pool entry (w + k) mod P; wide_infer writes the
 CSV of pool entry w mod P in set-up and runs every item on it. So each
 seed gives its own inputs, and every item of every seed is checked.
+reference_digests computes those hashes; make_refs.py and selftest.py use it.
 
 Layer calls go through module attributes (simulate.simulate_ar, ...) so
 that a Tracer, when installed, sees them.
@@ -57,12 +58,12 @@ class Workload:
     pool: list[tuple[int, str]] | None = None
     name = ""
 
-    def setup(self, seed: int, workdir: Path):
-        """Prepare the run's state; timed as set-up."""
+    def setup(self, input_seed: int, workdir: Path):
+        """Prepare the run's state for items on input_seed; timed as set-up."""
         raise NotImplementedError
 
-    def item_input(self, state, seed: int, k: int) -> tuple[int, str]:
-        """(input seed, reference digest) for item k."""
+    def item_input(self, seed: int, k: int) -> tuple[int, str]:
+        """(input seed, reference digest) of item k under workload seed `seed`."""
         return self.pool[(seed + k) % len(self.pool)]
 
     def run_item(self, state, input_seed: int) -> ItemResult:
@@ -78,7 +79,7 @@ class ArSweep(Workload):
     params = EmbeddingParams(m=3, d=100)
     delays = DelayGrid(range(1, 11))
 
-    def setup(self, seed, workdir):
+    def setup(self, input_seed, workdir):
         return None
 
     def run_item(self, state, input_seed):
@@ -112,7 +113,7 @@ class NmmDelta(Workload):
     params = EmbeddingParams(m=3, d=1)
     delays = DelayGrid(range(2, 21))
 
-    def setup(self, seed, workdir):
+    def setup(self, input_seed, workdir):
         adjacency = np.zeros((8, 8))
         for target, source in NMM_GRAPH:
             adjacency[target, source] = 1.0
@@ -161,23 +162,23 @@ class WideInfer(Workload):
     n_channels = 36
     delays = DelayGrid(range(1, 11))  # the CLI's default grid
 
-    def setup(self, seed, workdir):
-        csv_seed, digest = self.pool[seed % len(self.pool)]
+    def setup(self, input_seed, workdir):
         series, truth = simulate.simulate_ar(
             self.T,
-            csv_seed,
+            input_seed,
             couplings=wide_couplings(self.n_channels // simulate.AR_N_CHANNELS),
             n_channels=self.n_channels,
         )
-        path = workdir / f"wide_{csv_seed}.csv"
+        path = workdir / f"wide_{input_seed}.csv"
         cli.write_series_csv(series, path)
-        return path, truth, (csv_seed, digest)
+        return path, truth
 
-    def item_input(self, state, seed, k):
-        return state[2]
+    def item_input(self, seed, k):
+        """Every item of a run reads the one CSV its set-up wrote."""
+        return self.pool[seed % len(self.pool)]
 
     def run_item(self, state, input_seed):
-        path, truth, _ = state
+        path, truth = state
         out = path.with_suffix(".network.json")
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["infer", "--input", str(path), "--out", str(out)])
@@ -194,6 +195,13 @@ class WideInfer(Workload):
             digest=edge_digest([network.edge_triples()]),
             f1=[_f1(network, truth, self.n_channels, self.delays)],
         )
+
+
+def reference_digests(workload: Workload, seeds, workdir: Path) -> list[tuple[int, str]]:
+    """(input seed, edge digest) of the untraced item on each input seed."""
+    return [
+        (seed, workload.run_item(workload.setup(seed, workdir), seed).digest) for seed in seeds
+    ]
 
 
 WORKLOADS = {w.name: w for w in (ArSweep, NmmDelta, WideInfer)}
