@@ -124,17 +124,24 @@ def lagged_joint_counts(
     )
 
 
-def _conditional_entropy_from_counts(counts: np.ndarray) -> float:
-    """H(col | row) in bits from a joint count matrix; empty cells contribute 0."""
-    total = counts.sum()
-    if total == 0:
+def _conditional_entropy_from_counts(counts: np.ndarray):
+    """H(col | row) in bits from joint count matrices; empty cells contribute 0.
+
+    `counts` is one (rows, cols) matrix, giving a float, or a stack of them
+    with leading batch axes, giving an array of that batch shape. Each matrix
+    goes through the same operations in the same order either way, so a
+    batched value is bit-identical to the single-matrix one.
+    """
+    total = counts.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total == 0):
         raise DegenerateSample("no samples to estimate entropy from")
     joint = counts / total
-    row = joint.sum(axis=1, keepdims=True)
+    row = joint.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(row > 0, joint / row, 0.0)
         terms = np.where(joint > 0, joint * np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
-    return float(-terms.sum())
+    h = -terms.reshape(*counts.shape[:-2], -1).sum(axis=-1)
+    return float(h) if counts.ndim == 2 else h
 
 
 def co_occurrence_entropy(
@@ -143,6 +150,20 @@ def co_occurrence_entropy(
     """Conditional entropy of dst's symbol at t + tau given src's at t, in bits."""
     counts = lagged_joint_counts(src, dst, tau, n_patterns)
     return _conditional_entropy_from_counts(counts)
+
+
+# Largest alphabet for which ce_tensor counts by matrix product. The dense
+# product costs f^2 multiply-adds per sample and ordered pair, against one
+# bincount pass per pair in the loop, and its count matrices grow as (N*f)^2.
+# On a 2-core Xeon, T'=1e4-2e4 and 10 lags: at m=3 (f=6) the product took
+# 0.017 s against 0.055 s for N=9 and 0.17 s against 3 s for N=36; at m=4
+# (f=24) 0.080 s against 0.066 s for N=9 and 2.0 s against 3.3 s for N=36,
+# holding 60 MB of counts; at m=5 (f=120) 1.9 s against 0.26 s for N=9.
+_PRODUCT_MAX_PATTERNS = 6
+
+# Rows per one-hot block. A block's product entries count at most this many
+# samples, far below 2^24, so they are exact in float32.
+_ROW_BLOCK = 2048
 
 
 def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
@@ -155,6 +176,15 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
             f"max delay {delays.max_delay} exceeds symbol sequence length {pi.n_times}"
         )
     values = np.full((n, n, len(delays)), h_max, dtype=float)
+    if f <= _PRODUCT_MAX_PATTERNS:
+        # counts[j, src, a, tgt, b]: samples with channel src in symbol a at t
+        # and channel tgt in symbol b at t + tau_j
+        counts = _lagged_counts_by_product(pi, delays).reshape(len(delays), n, f, n, f)
+        tgt, src = np.nonzero(~np.eye(n, dtype=bool))
+        for j in range(len(delays)):
+            pair_counts = counts[j].transpose(2, 0, 1, 3)[tgt, src]
+            values[tgt, src, j] = _conditional_entropy_from_counts(pair_counts)
+        return CETensor(values=values, delays=delays, n_patterns=f)
     for j, tau in enumerate(delays):
         for m in range(n):
             src = pi.channel(m)
@@ -163,6 +193,30 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
                     continue
                 values[tgt, m, j] = co_occurrence_entropy(src, pi.channel(tgt), tau, f)
     return CETensor(values=values, delays=delays, n_patterns=f)
+
+
+def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarray:
+    """Lagged joint counts of every ordered channel pair, one product per lag.
+
+    Returns a J x N*f x N*f int64 array whose entry [j, m*f + a, n*f + b]
+    counts the t with channel m in symbol a at t and channel n in symbol b
+    at t + tau_j, over t in [0, T' - tau_j), exactly as lagged_joint_counts.
+    """
+    n_times, n = pi.symbols.shape
+    f = pi.n_patterns
+    width = n * f
+    max_lag = delays.max_delay
+    counts = np.zeros((len(delays), width, width), dtype=np.int64)
+    patterns = np.arange(f)
+    for start in range(0, n_times - delays.min_delay, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK + max_lag, n_times)
+        rows = pi.symbols[start:stop]
+        onehot = (rows[:, :, None] == patterns).reshape(-1, width).astype(np.float32)
+        for j, tau in enumerate(delays):
+            k = min(_ROW_BLOCK, n_times - tau - start)
+            if k > 0:
+                counts[j] += (onehot[:k].T @ onehot[tau : tau + k]).astype(np.int64)
+    return counts
 
 
 def threshold(tensor: CETensor, lam: float) -> CETensor:

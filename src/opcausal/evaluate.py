@@ -87,7 +87,13 @@ def score(
     tp = len(got & want)
     fp = len(got - want)
     fn = len(want - got)
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=universe - tp - fp - fn)
+    # an edge at a delay off the grid still counts as FP or FN, but it is no
+    # cell of the universe, so it does not reduce TN
+    in_universe = got | want
+    if delay_sensitive:
+        in_universe = {e for e in in_universe if e[2] in delays.delays}
+    tn = universe - len(in_universe)
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def metrics(counts: ConfusionCounts) -> Metrics:

@@ -20,6 +20,7 @@ from opcausal import (
     lagged_joint_counts,
     threshold,
 )
+from opcausal import entropy
 from opcausal.errors import (
     ConditioningTooLarge,
     InvalidLambda,
@@ -152,6 +153,29 @@ class TestConditionalEntropyGivenSet:
         with pytest.raises(ConditioningTooLarge):
             conditional_entropy_given_set(pi, 0, cond, r_max=3)
 
+    def test_sparse_path_matches_joint_histogram_oracle(self, rng, monkeypatch):
+        # m=5 with three members: 120^3 states x 120 symbols is past the
+        # dense bincount limit, so the unique-count estimator runs
+        calls = []
+        sparse = entropy._conditional_entropy_sparse
+
+        def spy(*args):
+            calls.append(args)
+            return sparse(*args)
+
+        monkeypatch.setattr(entropy, "_conditional_entropy_sparse", spy)
+        # few symbols in use, so joint states repeat and the entropy is not 0
+        symbols = rng.integers(0, 4, size=(3000, 4))
+        symbols[1:, 0] = symbols[:-1, 1] * 30 + rng.integers(0, 3, size=2999)
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=5, d=1))
+        members = [(1, 1), (2, 2), (3, 4)]
+        with pytest.warns(RuntimeWarning, match="unreliable"):
+            got = conditional_entropy_given_set(pi, 0, ConditioningSet(members))
+        want = oracle_conditional_entropy_given_set(pi, 0, members, 4)
+        assert len(calls) == 1
+        assert 1.0 < want < log2(120)
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_explicit_window_pins_sample_count(self, rng):
         symbols = rng.integers(0, 6, size=(500, 2))
         pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
@@ -179,6 +203,27 @@ class TestCETensor:
         t = ce_tensor(pi, DelayGrid([2]))
         want = co_occurrence_entropy(pi.channel(1), pi.channel(0), 2, 6)
         assert t.values[0, 1, 0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_entry_equals_pairwise_estimate(self, rng, m):
+        # m <= 3 counts by one-hot products over row blocks, m = 4 pair by
+        # pair; T' spans several blocks and is not a multiple of their size
+        f = math.factorial(m)
+        n_times = 2 * entropy._ROW_BLOCK + 37
+        pi = PatternMatrix(
+            symbols=rng.integers(0, f, size=(n_times, 4)),
+            params=EmbeddingParams(m=m, d=1),
+        )
+        delays = DelayGrid([0, 1, 5, entropy._ROW_BLOCK + 3, n_times - 1])
+        t = ce_tensor(pi, delays)
+        for j, tau in enumerate(delays):
+            for src in range(4):
+                for tgt in range(4):
+                    if tgt == src:
+                        assert t.values[tgt, src, j] == log2(f)
+                        continue
+                    want = co_occurrence_entropy(pi.channel(src), pi.channel(tgt), tau, f)
+                    assert t.values[tgt, src, j] == want
 
 
 class TestThreshold:

@@ -46,6 +46,12 @@ class TestScore:
         assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
         assert counts.tn == 1
 
+    def test_off_grid_truth_is_fn_but_not_subtracted_from_tn(self):
+        net = network_of([])
+        truth = GroundTruth(edges=[(0, 1, 5)])
+        counts = score(net, truth, 2, DelayGrid([1]), delay_sensitive=True)
+        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 0, 1, 2)
+
     def test_channel_out_of_range(self):
         net = network_of([(0, 5, 1)])
         truth = GroundTruth(edges=[(0, 1, 1)])
