@@ -205,18 +205,44 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
     n_times, n = pi.symbols.shape
     f = pi.n_patterns
     width = n * f
-    max_lag = delays.max_delay
     counts = np.zeros((len(delays), width, width), dtype=np.int64)
     patterns = np.arange(f)
+    segments, placements = _row_segments(delays)
     for start in range(0, n_times - delays.min_delay, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK + max_lag, n_times)
-        rows = pi.symbols[start:stop]
-        onehot = (rows[:, :, None] == patterns).reshape(-1, width).astype(np.float32)
-        for j, tau in enumerate(delays):
+        onehots = [
+            (pi.symbols[start + lo : start + hi, :, None] == patterns)
+            .reshape(-1, width)
+            .astype(np.float32)
+            for lo, hi in segments
+        ]
+        source = onehots[0]
+        for j, (tau, (segment, first)) in enumerate(zip(delays, placements)):
             k = min(_ROW_BLOCK, n_times - tau - start)
             if k > 0:
-                counts[j] += (onehot[:k].T @ onehot[tau : tau + k]).astype(np.int64)
+                target = onehots[segment][first : first + k]
+                counts[j] += (source[:k].T @ target).astype(np.int64)
     return counts
+
+
+def _row_segments(delays: DelayGrid) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Row ranges a block's products read, relative to the block's first row.
+
+    A block's source rows are [0, _ROW_BLOCK) and lag tau's target rows are
+    [tau, tau + _ROW_BLOCK); overlapping ranges are merged, so lags close
+    together share one one-hot encoding and a lag far from the others gets
+    its own instead of stretching every block over the rows in between.
+    Returns the merged [lo, hi) ranges and, per lag, the index of its range
+    and the offset of its first target row in it.
+    """
+    segments: list[list[int]] = []
+    placements = []
+    for lo in (0, *delays):
+        if segments and lo <= segments[-1][1]:
+            segments[-1][1] = lo + _ROW_BLOCK
+        else:
+            segments.append([lo, lo + _ROW_BLOCK])
+        placements.append((len(segments) - 1, lo - segments[-1][0]))
+    return segments, placements[1:]
 
 
 def threshold(tensor: CETensor, lam: float) -> CETensor:
@@ -265,6 +291,13 @@ def conditional_entropy_given_set(
             raise ValueError(f"conditioning channel {channel} out of range")
         if tau < 0 or tau >= pi.n_times:
             raise LagTooLarge(f"conditioning delay {tau} out of range")
+    f = pi.n_patterns
+    # the joint code of the set and the target symbol is an int64 below
+    # f ** (len(cond) + 1)
+    if f ** (len(cond) + 1) > 2**63:
+        raise ConditioningTooLarge(
+            f"{len(cond)} conditioning members over {f} patterns overflow int64 joint codes"
+        )
     min_start = cond.max_delay
     if t_start is None:
         t_start = min_start
@@ -274,7 +307,6 @@ def conditional_entropy_given_set(
     if n_valid < 1:
         raise DegenerateSample("no valid time indices for this conditioning set")
 
-    f = pi.n_patterns
     if n_valid / f ** len(cond) < MIN_SAMPLES_PER_STATE:
         warnings.warn(
             f"only {n_valid} samples for {f ** len(cond)} joint conditioning states; "

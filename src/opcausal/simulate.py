@@ -296,8 +296,11 @@ def draw_nmm_graph(n_regions: int, k_percent: float, rng: np.random.Generator) -
     return adj
 
 
-def _sigmoid(v, e0, r):
-    return 2.0 * e0 / (1.0 + np.exp(-r * v)) - e0
+# Steps of noise drawn from the generator at a time. Drawing the whole run
+# in one block would hold 16 bytes per step and region (6.7 MB for the
+# reproduction run); a block of 256 steps holds 32 KB at 8 regions, and
+# its Python overhead is one call per 256 steps.
+_NOISE_CHUNK = 256
 
 
 def simulate_nmm(
@@ -332,72 +335,97 @@ def simulate_nmm(
     dt = 1.0 / cfg.sample_rate
     total = n_samples + transient_samples
 
-    y_p = np.zeros(n)
-    x_p = np.zeros(n)
-    y_e = np.zeros(n)
-    x_e = np.zeros(n)
-    y_s = np.zeros(n)
-    x_s = np.zeros(n)
-    y_f = np.zeros(n)
-    x_f = np.zeros(n)
-    y_l = np.zeros(n)
-    x_l = np.zeros(n)
+    # The state is packed into (5, n) blocks with rows p, e, s, f, l:
+    # pyramidal, excitatory, slow- and fast-inhibitory, and the auxiliary
+    # pair driven by n_f. Each step runs a fixed number of numpy calls on
+    # the blocks, each writing into a preallocated array, and every element
+    # goes through the same floating-point operations in the same order as
+    # the per-population form
+    #     dx = g*h * input - 2*h * x - h**2 * y,  y += dt * x,  x += dt * dx,
+    # so the output is bit-identical to it (tests/test_simulate.py keeps that
+    # form as the reference).
+    kernels = [(cfg.g_e, cfg.h_e), (cfg.g_e, cfg.h_e), (cfg.g_s, cfg.h_s),
+               (cfg.g_f, cfg.h_f), (cfg.g_e, cfg.h_e)]
+    gain = np.array([[g * h] for g, h in kernels])
+    restoring = np.array([[[h**2] for _, h in kernels], [[2.0 * h] for _, h in kernels]])
+    # state = [y, x, dx], so that [y, x] += dt * [x, dx] is the Euler step
+    state = np.zeros((3, 5, n))
+    y, dx = state[0], state[2]
+    y_x, x_dx = state[:2], state[1:]
+    # scratch = [h**2 * y, 2*h * x] = restoring * [y, x]
+    scratch = np.empty((2, 5, n))
+    stiff, damped = scratch
+    # drive[:4] holds the firing rates z_p, z_e, z_s, z_f; the e row then
+    # gains u_p / c_pe and the l row holds n_f
+    drive = np.empty((5, n))
+    rates, drive_e, drive_l = drive[:4], drive[1], drive[4]
+
+    # membrane potentials [v_p, v_e, v_s, v_f]: v_p and v_f each subtract
+    # two terms from a third, the terms being the rows (e, s, f) and
+    # (p, s, l) of y times their coupling constants
+    potential = np.empty((4, n))
+    terms = np.empty((2, 3, n))
+    terms_p, terms_f = terms
+    first, second, third = terms[:, 0], terms[:, 1], terms[:, 2]
+    k_p = np.array([[cfg.c_pe], [cfg.c_ps], [cfg.c_pf]])
+    k_f = np.array([[cfg.c_fp], [cfg.c_fs], [cfg.c_ff]])
+    k_es = np.array([[cfg.c_ep], [cfg.c_sp]])
+    y_esf, y_psl, y_p = y[1:4], y[::2], y[0]
+    v_p, v_es, v_pf = potential[0], potential[1:3], potential[::3]
 
     noise_std = math.sqrt(cfg.noise_var)
+    neg_r, two_e0, e0, c_pe = -cfg.r, 2.0 * cfg.e0, cfg.e0, cfg.c_pe
     buffer_len = buffer_samples
     z_p_buffer = np.zeros((buffer_len, n))
-    out = np.empty((total, n))
+    z_p = rates[0]
+    u_p = np.empty(n)
+    # out[t] is v_p at the start of step t, which is the output
+    # c_pe * y_e - c_ps * y_s - c_pf * y_f of step t - 1
+    out = np.empty((total + 1, n))
 
-    for t in range(total):
-        v_p = cfg.c_pe * y_e - cfg.c_ps * y_s - cfg.c_pf * y_f
-        v_e = cfg.c_ep * y_p
-        v_s = cfg.c_sp * y_p
-        v_f = cfg.c_fp * y_p - cfg.c_fs * y_s - cfg.c_ff * y_l
+    for start in range(0, total, _NOISE_CHUNK):
+        steps = min(_NOISE_CHUNK, total - start)
+        # the same stream as drawing n_p, then n_f, at every step
+        noise = rng.standard_normal((steps, 2, n))
+        noise *= noise_std
+        noise += cfg.noise_mean
+        for t, (n_p, n_f) in enumerate(noise, start):
+            np.multiply(k_p, y_esf, terms_p)
+            np.multiply(k_f, y_psl, terms_f)
+            np.subtract(first, second, v_pf)
+            np.subtract(v_pf, third, v_pf)
+            np.multiply(k_es, y_p, v_es)
+            out[t] = v_p
 
-        z_p = _sigmoid(v_p, cfg.e0, cfg.r)
-        z_e = _sigmoid(v_e, cfg.e0, cfg.r)
-        z_s = _sigmoid(v_s, cfg.e0, cfg.r)
-        z_f = _sigmoid(v_f, cfg.e0, cfg.r)
+            # rates = 2 * e0 / (1 + exp(-r * potential)) - e0
+            np.multiply(neg_r, potential, rates)
+            np.exp(rates, rates)
+            np.add(1.0, rates, rates)
+            np.divide(two_e0, rates, rates)
+            np.subtract(rates, e0, rates)
 
-        # slot t % delay was last written at step t - delay
-        z_p_delayed = z_p_buffer[t % buffer_len].copy()
-        z_p_buffer[t % buffer_len] = z_p
-        n_p = cfg.noise_mean + noise_std * rng.standard_normal(n)
-        n_f = cfg.noise_mean + noise_std * rng.standard_normal(n)
-        u_p = n_p + w @ z_p_delayed
-        u_f = n_f
+            # slot t % delay was last written at step t - delay
+            slot = z_p_buffer[t % buffer_len]
+            np.add(n_p, w @ slot, u_p)
+            slot[:] = z_p
+            np.divide(u_p, c_pe, u_p)
+            np.add(drive_e, u_p, drive_e)
+            drive_l[:] = n_f
 
-        d_y_p = x_p
-        d_x_p = cfg.g_e * cfg.h_e * z_p - 2.0 * cfg.h_e * x_p - cfg.h_e**2 * y_p
-        d_y_e = x_e
-        d_x_e = (
-            cfg.g_e * cfg.h_e * (z_e + u_p / cfg.c_pe)
-            - 2.0 * cfg.h_e * x_e
-            - cfg.h_e**2 * y_e
-        )
-        d_y_s = x_s
-        d_x_s = cfg.g_s * cfg.h_s * z_s - 2.0 * cfg.h_s * x_s - cfg.h_s**2 * y_s
-        d_y_f = x_f
-        d_x_f = cfg.g_f * cfg.h_f * z_f - 2.0 * cfg.h_f * x_f - cfg.h_f**2 * y_f
-        d_y_l = x_l
-        d_x_l = cfg.g_e * cfg.h_e * u_f - 2.0 * cfg.h_e * x_l - cfg.h_e**2 * y_l
-
-        y_p += dt * d_y_p
-        x_p += dt * d_x_p
-        y_e += dt * d_y_e
-        x_e += dt * d_x_e
-        y_s += dt * d_y_s
-        x_s += dt * d_x_s
-        y_f += dt * d_y_f
-        x_f += dt * d_x_f
-        y_l += dt * d_y_l
-        x_l += dt * d_x_l
-
-        out[t] = cfg.c_pe * y_e - cfg.c_ps * y_s - cfg.c_pf * y_f
-        if not np.all(np.isfinite(out[t])):
+            np.multiply(gain, drive, dx)
+            np.multiply(restoring, y_x, scratch)
+            np.subtract(dx, damped, dx)
+            np.subtract(dx, stiff, dx)
+            np.multiply(dt, x_dx, scratch)
+            np.add(y_x, scratch, y_x)
+        if not np.isfinite(out[start : start + steps]).all():
             raise NonFiniteState("neural mass integration diverged")
 
-    data = out[transient_samples:]
+    out[total] = cfg.c_pe * y[1] - cfg.c_ps * y[2] - cfg.c_pf * y[3]
+    if not np.isfinite(out[total]).all():
+        raise NonFiniteState("neural mass integration diverged")
+
+    data = out[transient_samples + 1 :]
     truth = GroundTruth(
         edges=[
             (j, i, cfg.delay_samples)

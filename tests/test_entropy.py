@@ -17,6 +17,7 @@ from opcausal import (
     ce_tensor,
     co_occurrence_entropy,
     conditional_entropy_given_set,
+    epsilon_test,
     lagged_joint_counts,
     threshold,
 )
@@ -175,6 +176,20 @@ class TestConditionalEntropyGivenSet:
         assert len(calls) == 1
         assert 1.0 < want < log2(120)
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_int64_joint_code_overflow_raises(self, rng):
+        # m=8 has 40320 patterns: three members and the target fit int64
+        # codes (40320**4 < 2**63), four members plus the candidate do not
+        symbols = rng.integers(0, 40320, size=(500, 6))
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=8, d=1))
+        members = [(1, 1), (2, 1), (3, 1), (4, 1)]
+        with pytest.raises(ConditioningTooLarge, match="int64"):
+            epsilon_test(pi, 0, 5, 2, ConditioningSet(members), delta=0.1, r_max=4)
+        with pytest.warns(RuntimeWarning, match="unreliable"):
+            got = conditional_entropy_given_set(pi, 0, ConditioningSet(members[:3]))
+        assert got == pytest.approx(
+            oracle_conditional_entropy_given_set(pi, 0, members[:3], 1), abs=1e-12
+        )
 
     def test_explicit_window_pins_sample_count(self, rng):
         symbols = rng.integers(0, 6, size=(500, 2))

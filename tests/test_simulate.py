@@ -1,6 +1,7 @@
 """Benchmark generators: determinism, bounds, and injected structure."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from opcausal import (
     simulate_lorenz_chain,
     simulate_nmm,
 )
-from opcausal.errors import ParameterUnset
+from opcausal.errors import NonFiniteState, ParameterUnset
 from opcausal.ordinal import MultivariateSeries
 from opcausal.simulate import AR_COUPLINGS, GroundTruth, draw_nmm_graph
 
@@ -194,6 +195,95 @@ class TestSimulateNmm:
         adj[4, 1] = 1.0  # region 1 drives region 4
         _, truth = simulate_nmm(cfg, 5.0, 300, seed=0, adjacency=adj)
         assert truth.pairs() == {(1, 4)}
+
+    # sha256 of the output bytes at T=3000 for criterion 7's seeds and for
+    # the benchmark's fixed graph (5 -> 0, 3 -> 1, 2 -> 6). The criterion-7
+    # seeds and the benchmark's reference hashes were chosen against these
+    # exact series, so a faster integrator must reproduce them bit for bit.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (3, "0b4f59cd51e62104f4839027e492cf35fda3dd30d80db1aab620b481fbe90cdb"),
+            (29, "05b56d1f8498cb1e2cf6a868268c765c63c9dda08d4df524c78c88153d98da03"),
+            (38, "cea278d0f744b280f32ea8f9f0e080a5ffdf36a506e99e3b6d13dc813e732c24"),
+        ],
+    )
+    def test_output_bytes_pinned(self, seed, digest):
+        series, _ = simulate_nmm(reproduction_nmm_config(), 5.0, 3000, seed)
+        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest
+
+    def test_output_bytes_pinned_fixed_graph(self):
+        adj = np.zeros((8, 8))
+        for target, source in ((0, 5), (1, 3), (6, 2)):
+            adj[target, source] = 1.0
+        series, _ = simulate_nmm(reproduction_nmm_config(), 5.0, 3000, 0, adjacency=adj)
+        assert (
+            hashlib.sha256(series.data.tobytes()).hexdigest()
+            == "6ca77e854a55d0488b1bafdbb4b964c4b49982f8cbff300e9557b48c9ba80f25"
+        )
+
+    def test_divergence_raises(self):
+        cfg = dataclasses.replace(reproduction_nmm_config(), noise_mean=float("nan"))
+        with pytest.raises(NonFiniteState):
+            simulate_nmm(cfg, 5.0, 300, seed=0)
+
+    @pytest.mark.parametrize(
+        "changes, k_percent, seed, transient",
+        [
+            ({}, 25.0, 5, 0),
+            ({"n_regions": 3}, 30.0, 1, 100),
+            ({"delay_ms": 5.0}, 10.0, 2, 100),  # shorter than the rise: one slot
+            ({"noise_var": 0.0, "noise_mean": 0.2, "g_s": 30.0, "h_f": 300.0}, 5.0, 4, 1),
+        ],
+    )
+    def test_equals_per_population_loop(self, changes, k_percent, seed, transient):
+        # 1500 steps span several noise blocks and end inside one
+        cfg = dataclasses.replace(reproduction_nmm_config(), **changes)
+        series, _ = simulate_nmm(cfg, k_percent, 1500 - transient, seed, transient)
+        want = reference_nmm(cfg, k_percent, 1500, seed)[transient:]
+        assert series.data.tobytes() == want.tobytes()
+
+
+def reference_nmm(cfg, k_percent, total, seed):
+    """The neural-mass Euler loop written per population, one draw per step."""
+    rng = np.random.default_rng(seed)
+    n = cfg.n_regions
+    w = cfg.coupling_weight * draw_nmm_graph(n, k_percent, rng)
+    buffer_len = max(cfg.delay_samples - int(round(cfg.sample_rate / cfg.h_e)), 1)
+    dt = 1.0 / cfg.sample_rate
+    noise_std = np.sqrt(cfg.noise_var)
+
+    def sigmoid(v):
+        return 2.0 * cfg.e0 / (1.0 + np.exp(-cfg.r * v)) - cfg.e0
+
+    def accel(g, h, drive, x, y):
+        return g * h * drive - 2.0 * h * x - h**2 * y
+
+    y_p, x_p, y_e, x_e, y_s, x_s, y_f, x_f, y_l, x_l = np.zeros((10, n))
+    z_p_buffer = np.zeros((buffer_len, n))
+    out = np.empty((total, n))
+    for t in range(total):
+        z_p = sigmoid(cfg.c_pe * y_e - cfg.c_ps * y_s - cfg.c_pf * y_f)
+        z_e = sigmoid(cfg.c_ep * y_p)
+        z_s = sigmoid(cfg.c_sp * y_p)
+        z_f = sigmoid(cfg.c_fp * y_p - cfg.c_fs * y_s - cfg.c_ff * y_l)
+        z_p_delayed = z_p_buffer[t % buffer_len].copy()
+        z_p_buffer[t % buffer_len] = z_p
+        n_p = cfg.noise_mean + noise_std * rng.standard_normal(n)
+        n_f = cfg.noise_mean + noise_std * rng.standard_normal(n)
+        u_p = n_p + w @ z_p_delayed
+        d_x_p = accel(cfg.g_e, cfg.h_e, z_p, x_p, y_p)
+        d_x_e = accel(cfg.g_e, cfg.h_e, z_e + u_p / cfg.c_pe, x_e, y_e)
+        d_x_s = accel(cfg.g_s, cfg.h_s, z_s, x_s, y_s)
+        d_x_f = accel(cfg.g_f, cfg.h_f, z_f, x_f, y_f)
+        d_x_l = accel(cfg.g_e, cfg.h_e, n_f, x_l, y_l)
+        y_p, x_p = y_p + dt * x_p, x_p + dt * d_x_p
+        y_e, x_e = y_e + dt * x_e, x_e + dt * d_x_e
+        y_s, x_s = y_s + dt * x_s, x_s + dt * d_x_s
+        y_f, x_f = y_f + dt * x_f, x_f + dt * d_x_f
+        y_l, x_l = y_l + dt * x_l, x_l + dt * d_x_l
+        out[t] = cfg.c_pe * y_e - cfg.c_ps * y_s - cfg.c_pf * y_f
+    return out
 
 
 class TestObservationNoise:
