@@ -132,32 +132,24 @@ def epsilon_test(
     p_min: ConditioningSet,
     delta: float,
     r_max: int = DEFAULT_R_MAX,
-    h_base: float | None = None,
 ) -> tuple[bool, float]:
     """Entropy drop from adding the candidate source to the conditioning set.
 
     Both entropies are evaluated on the same time window (fixed by the
     largest lag involved, including the candidate's), so the drop is
     non-negative up to float error. Returns (keep, epsilon); keep is False
-    when epsilon < delta. A caller that already holds H(m | p_min) on that
-    window passes it as h_base, and only the augmented entropy is computed.
+    when epsilon < delta.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
     augmented = ConditioningSet(list(p_min.members) + [(n, tau)])
-    t_start = _window_start(p_min, tau)
-    if h_base is None:
-        h_base = conditional_entropy_given_set(pi, m, p_min, r_max=r_max, t_start=t_start)
+    t_start = max(p_min.max_delay, tau)
+    h_base = conditional_entropy_given_set(pi, m, p_min, r_max=r_max, t_start=t_start)
     h_full = conditional_entropy_given_set(
         pi, m, augmented, r_max=r_max + 1, t_start=t_start
     )
     eps = h_base - h_full
     return eps >= delta, eps
-
-
-def _window_start(p_min: ConditioningSet, tau: int) -> int:
-    """First time index of the window epsilon_test evaluates both entropies on."""
-    return max(p_min.max_delay, tau)
 
 
 def _edges_from_tensor(tensor: CETensor, one_per_pair: bool = False) -> list[Edge]:
@@ -244,23 +236,12 @@ def prune_tensor(
     r_eff = reliable_conditioning_size(pi, r_max)
     to_prune: list[tuple[int, int, int]] = []
     delay_index = {tau: j for j, tau in enumerate(tensor.delays)}
-    # candidates with the same target, conditioning set and window share
-    # h_base, so each distinct one is computed once
-    h_base: dict[tuple, float] = {}
     for m in range(sets.n_channels):
         for cand in sets.parents[m]:
             p_min = minimal_conditioning_set(
                 sets, m, cand.channel, r_max=r_eff, fallback_delay=fallback_delay
             )
-            t_start = _window_start(p_min, cand.delay)
-            key = (m, p_min.members, t_start)
-            if key not in h_base:
-                h_base[key] = conditional_entropy_given_set(
-                    pi, m, p_min, r_max=r_max, t_start=t_start
-                )
-            keep, _ = epsilon_test(
-                pi, m, cand.channel, cand.delay, p_min, delta, r_max, h_base=h_base[key]
-            )
+            keep, _ = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta, r_max)
             if not keep:
                 to_prune.append((m, cand.channel, delay_index[cand.delay]))
     out = tensor.copy()

@@ -206,43 +206,26 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
     f = pi.n_patterns
     width = n * f
     counts = np.zeros((len(delays), width, width), dtype=np.int64)
-    patterns = np.arange(f)
-    segments, placements = _row_segments(delays)
+    # a block encodes its own rows plus those of the lags up to one block
+    # ahead; a farther lag's target rows are encoded on their own, so a lag
+    # near T' does not stretch every block over the rows in between
+    near = max((tau for tau in delays if tau <= _ROW_BLOCK), default=0)
     for start in range(0, n_times - delays.min_delay, _ROW_BLOCK):
-        onehots = [
-            (pi.symbols[start + lo : start + hi, :, None] == patterns)
-            .reshape(-1, width)
-            .astype(np.float32)
-            for lo, hi in segments
-        ]
-        source = onehots[0]
-        for j, (tau, (segment, first)) in enumerate(zip(delays, placements)):
+        onehot = _onehot(pi.symbols[start : start + _ROW_BLOCK + near], f)
+        for j, tau in enumerate(delays):
             k = min(_ROW_BLOCK, n_times - tau - start)
             if k > 0:
-                target = onehots[segment][first : first + k]
-                counts[j] += (source[:k].T @ target).astype(np.int64)
+                if tau <= near:
+                    target = onehot[tau : tau + k]
+                else:
+                    target = _onehot(pi.symbols[start + tau : start + tau + k], f)
+                counts[j] += (onehot[:k].T @ target).astype(np.int64)
     return counts
 
 
-def _row_segments(delays: DelayGrid) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Row ranges a block's products read, relative to the block's first row.
-
-    A block's source rows are [0, _ROW_BLOCK) and lag tau's target rows are
-    [tau, tau + _ROW_BLOCK); overlapping ranges are merged, so lags close
-    together share one one-hot encoding and a lag far from the others gets
-    its own instead of stretching every block over the rows in between.
-    Returns the merged [lo, hi) ranges and, per lag, the index of its range
-    and the offset of its first target row in it.
-    """
-    segments: list[list[int]] = []
-    placements = []
-    for lo in (0, *delays):
-        if segments and lo <= segments[-1][1]:
-            segments[-1][1] = lo + _ROW_BLOCK
-        else:
-            segments.append([lo, lo + _ROW_BLOCK])
-        placements.append((len(segments) - 1, lo - segments[-1][0]))
-    return segments, placements[1:]
+def _onehot(rows: np.ndarray, f: int) -> np.ndarray:
+    """float32 one-hot rows x N*f matrix of a block of symbol rows."""
+    return (rows[:, :, None] == np.arange(f)).reshape(len(rows), -1).astype(np.float32)
 
 
 def threshold(tensor: CETensor, lam: float) -> CETensor:

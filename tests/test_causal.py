@@ -158,33 +158,6 @@ class TestPipeline:
         again = prune_tensor(pi, tensor, delta=0.15)
         np.testing.assert_array_equal(once.values, again.values)
 
-    def test_prune_equals_per_candidate_epsilon_tests(self):
-        # prune_tensor computes each shared h_base once; its tensor must
-        # equal the one built from independent epsilon_test calls
-        series, _ = simulate_ar(10_000, seed=3)
-        pi, tensor = candidate_tensor(
-            series, EmbeddingParams(m=3, d=100), DelayGrid(range(1, 11))
-        )
-        sets = neighbor_sets(tensor)
-        r_eff = reliable_conditioning_size(pi)
-        delta = 0.15
-        expected = tensor.values.copy()
-        windows = set()
-        n_candidates = 0
-        for m in range(sets.n_channels):
-            for cand in sets.parents[m]:
-                p_min = minimal_conditioning_set(
-                    sets, m, cand.channel, r_max=r_eff, fallback_delay=1
-                )
-                keep, _ = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta)
-                if not keep:
-                    expected[m, cand.channel, cand.delay - 1] = tensor.h_max
-                windows.add((m, p_min.members, max(p_min.max_delay, cand.delay)))
-                n_candidates += 1
-        assert len(windows) < n_candidates  # some candidates share h_base
-        assert (expected == tensor.h_max).sum() > (tensor.values == tensor.h_max).sum()
-        np.testing.assert_array_equal(prune_tensor(pi, tensor, delta).values, expected)
-
     def test_one_delay_per_pair_keeps_lowest_ce(self):
         series, _ = simulate_ar(10_000, seed=3)
         params = EmbeddingParams(m=3, d=100)
