@@ -6,13 +6,18 @@ shape of the delta sweep: TPR stays at 1 for small delta, FPR falls to zero
 once delta clears the estimator noise floor.
 
 Usage:
-    python3 scripts/ar_benchmark.py [--T 10000] [--R 10] [--seed 42] [--out ar_sweep]
+    python3 scripts/ar_benchmark.py [--T 10000] [--R 10] [--seed 42] [--NL 0.0] [--threads 1]
 """
 
 import argparse
 import sys
 
 from opcausal import sweep
+
+
+def _fmt(value: float | None, digits: int) -> str:
+    """A mean, or "-" when no realization of the cell defined it."""
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
 def main() -> int:
@@ -34,9 +39,10 @@ def main() -> int:
     )
     print(f"{'delta':>6} {'TPR':>7} {'FPR':>8} {'F1':>7}   (R={args.R}, T={args.T}, NL={args.NL})")
     for cell in result.cells:
+        s = cell.stats
         print(
-            f"{cell.params['delta']:>6.2f} "
-            f"{cell.tpr_mean:>7.3f} {cell.fpr_mean:>8.4f} {cell.f1_mean:>7.3f}"
+            f"{cell.params['delta']:>6.2f} {_fmt(s['tpr_mean'], 3):>7} "
+            f"{_fmt(s['fpr_mean'], 4):>8} {_fmt(s['f1_mean'], 3):>7}"
         )
         for err in cell.errors:
             print(f"       error: {err}", file=sys.stderr)

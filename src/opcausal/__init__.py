@@ -34,7 +34,6 @@ from .ordinal import (
     embed,
     encode_pattern,
     encode_series,
-    transition_network,
 )
 from .simulate import (
     GroundTruth,
@@ -83,6 +82,5 @@ __all__ = [
     "simulate_nmm",
     "sweep",
     "threshold",
-    "transition_network",
     "windowed_analysis",
 ]

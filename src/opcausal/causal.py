@@ -15,6 +15,7 @@ import numpy as np
 
 from .entropy import (
     DEFAULT_R_MAX,
+    MIN_SAMPLES_PER_STATE,
     CETensor,
     ConditioningSet,
     DelayGrid,
@@ -22,7 +23,7 @@ from .entropy import (
     conditional_entropy_given_set,
     threshold,
 )
-from .errors import CandidateNotALink
+from .errors import CandidateNotALink, DegenerateSample
 from .ordinal import EmbeddingParams, MultivariateSeries, PatternMatrix, build_moptn
 
 
@@ -181,8 +182,17 @@ def candidate_tensor(
     delays: DelayGrid,
     lam: float = 0.995,
 ) -> tuple[PatternMatrix, CETensor]:
-    """Encoding, pairwise entropies, and thresholding (no pruning)."""
+    """Encoding, pairwise entropies, and thresholding (no pruning).
+
+    A channel whose symbols are all one pattern has zero entropy, so every
+    source would look like a link into it; such channels raise
+    DegenerateSample.
+    """
     pi = build_moptn(series, params)
+    constant = np.flatnonzero((pi.symbols == pi.symbols[0]).all(axis=0))
+    if constant.size:
+        names = ", ".join(f"{n} ({series.channel_names[n]})" for n in constant)
+        raise DegenerateSample(f"channel(s) {names} hold a single ordinal pattern")
     return pi, threshold(ce_tensor(pi, delays), lam)
 
 
@@ -209,8 +219,6 @@ def reliable_conditioning_size(pi: PatternMatrix, r_max: int = DEFAULT_R_MAX) ->
     the plug-in entropy difference is dominated by estimator bias rather
     than actual dependence.
     """
-    from .entropy import MIN_SAMPLES_PER_STATE
-
     r = 1
     while (
         r < r_max

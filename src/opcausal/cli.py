@@ -22,17 +22,9 @@ from . import __version__
 from .causal import CausalNetwork, infer_network
 from .entropy import DelayGrid
 from .errors import OpcausalError
-from .evaluate import sweep, windowed_analysis
+from .evaluate import SYSTEMS, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
-from .simulate import (
-    GroundTruth,
-    NmmConfig,
-    add_observation_noise,
-    reproduction_nmm_config,
-    simulate_ar,
-    simulate_lorenz_chain,
-    simulate_nmm,
-)
+from .simulate import GroundTruth, NmmConfig, add_observation_noise
 
 DEFAULTS = {
     "M": 3,
@@ -158,6 +150,13 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise OpcausalError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(file_cfg) - set(keys))
+        if unknown:
+            raise OpcausalError(
+                f"{args.config}: unknown key(s) {', '.join(unknown)}; known: {', '.join(keys)}"
+            )
         for k in keys:
             if k in file_cfg:
                 merged[k] = file_cfg[k]
@@ -173,18 +172,17 @@ def _parse_list(spec: str, cast=float) -> list:
     return [cast(v) for v in str(spec).split(",")]
 
 
+def _nmm_config(args) -> NmmConfig | None:
+    """The --nmm-config file, or None for the reproduction configuration."""
+    return NmmConfig.from_json(args.nmm_config) if args.nmm_config else None
+
+
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     seed = args.seed
-    if args.system == "ar":
-        series, truth = simulate_ar(args.T, seed)
-    elif args.system == "lorenz":
-        series, truth = simulate_lorenz_chain(args.T, c=args.c, seed=seed)
-    elif args.system == "nmm":
-        cfg = NmmConfig.from_json(args.nmm_config) if args.nmm_config else reproduction_nmm_config()
-        series, truth = simulate_nmm(cfg, args.K, args.T, seed)
-    else:
-        raise OpcausalError(f"unknown system {args.system!r}")
+    series, truth = SYSTEMS[args.system].simulate(
+        {"T": args.T, "c": args.c, "K": args.K}, seed, _nmm_config(args)
+    )
     if args.noise_level:
         series = add_observation_noise(series, args.noise_level, seed + 1)
     write_series_csv(series, out.with_suffix(".csv"))
@@ -229,23 +227,6 @@ def cmd_infer(args) -> int:
     return 0
 
 
-SWEEP_CSV_COLUMNS = [
-    "system",
-    "T",
-    "NL",
-    "lambda",
-    "delta",
-    "K",
-    "realization_count",
-    "tpr_mean",
-    "tpr_std",
-    "fpr_mean",
-    "fpr_std",
-    "f1_mean",
-    "f1_std",
-]
-
-
 def cmd_sweep(args) -> int:
     grid: dict[str, list] = {}
     if args.delta:
@@ -260,43 +241,26 @@ def cmd_sweep(args) -> int:
         grid["K"] = _parse_list(args.K)
     if not grid:
         raise OpcausalError("sweep needs at least one axis (--delta/--T/--NL/--lambda/--K)")
-    nmm_config = None
-    if args.system == "nmm":
-        nmm_config = NmmConfig.from_json(args.nmm_config) if args.nmm_config else reproduction_nmm_config()
     result = sweep(
         args.system,
         grid,
         n_realizations=args.R,
         base_seed=args.seed,
-        nmm_config=nmm_config,
+        nmm_config=_nmm_config(args),
         max_workers=args.threads,
     )
     out = Path(args.out)
+    axes = sorted(grid)
     with open(out.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer.writerow(["system", *axes, "realization_count", *result.cells[0].stats])
         for cell in result.cells:
-            p = cell.params
             writer.writerow(
                 [
                     result.system,
-                    p.get("T", ""),
-                    p.get("NL", ""),
-                    p.get("lambda", ""),
-                    p.get("delta", ""),
-                    p.get("K", ""),
+                    *(cell.params[a] for a in axes),
                     cell.n_realizations,
-                    *(
-                        "" if v is None else f"{v:.6f}"
-                        for v in (
-                            cell.tpr_mean,
-                            cell.tpr_std,
-                            cell.fpr_mean,
-                            cell.fpr_std,
-                            cell.f1_mean,
-                            cell.f1_std,
-                        )
-                    ),
+                    *("" if v is None else f"{v:.6f}" for v in cell.stats.values()),
                 ]
             )
     with open(out.with_suffix(".json"), "w") as fh:
@@ -371,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     default_threads = int(os.environ.get("OPCAUSAL_THREADS", "1"))
 
     p_sim = sub.add_parser("simulate", help="generate a benchmark series + ground truth")
-    p_sim.add_argument("--system", required=True, choices=["ar", "lorenz", "nmm"])
+    p_sim.add_argument("--system", required=True, choices=sorted(SYSTEMS))
     p_sim.add_argument("--T", type=int, default=10_000, help="samples to keep")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--c", type=float, default=0.6, help="Lorenz coupling strength")
@@ -399,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.set_defaults(func=cmd_infer)
 
     p_sweep = sub.add_parser("sweep", help="TPR/FPR/F1 over a parameter grid")
-    p_sweep.add_argument("--system", required=True, choices=["ar", "lorenz", "nmm"])
+    p_sweep.add_argument("--system", required=True, choices=sorted(SYSTEMS))
     p_sweep.add_argument("--delta", help="comma list")
     p_sweep.add_argument("--T", help="comma list")
     p_sweep.add_argument("--NL", help="comma list")

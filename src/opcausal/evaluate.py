@@ -5,7 +5,9 @@ Inferred networks are scored against ground truth either delay-sensitively
 negative) or by pair identity alone. The sweep harness runs seeded
 realizations through simulate -> noise -> infer -> score and aggregates
 TPR/FPR/F1 per grid cell; seeds are derived from the cell's parameter
-values, so enlarging a grid never changes existing cells.
+values, so enlarging a grid never changes existing cells. `SYSTEMS` is the
+one place that knows each benchmark system: its simulator and the cell
+defaults the pipeline runs it with.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .simulate import (
     GroundTruth,
     NmmConfig,
     add_observation_noise,
+    reproduction_nmm_config,
     simulate_ar,
     simulate_lorenz_chain,
     simulate_nmm,
@@ -109,17 +112,15 @@ def metrics(counts: ConfusionCounts) -> Metrics:
 
 @dataclass
 class SweepCell:
-    """One grid point with mean/std of every metric over its realizations."""
+    """One grid point with mean/std of every metric over its realizations.
+
+    `stats` is keyed tpr_mean, tpr_std, fpr_mean, fpr_std, f1_mean, f1_std.
+    """
 
     params: dict[str, Any]
     n_realizations: int
     seeds: list[int]
-    tpr_mean: float | None
-    tpr_std: float | None
-    fpr_mean: float | None
-    fpr_std: float | None
-    f1_mean: float | None
-    f1_std: float | None
+    stats: dict[str, float | None]
     errors: list[str] = field(default_factory=list)
 
 
@@ -136,7 +137,70 @@ def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -
     digest = hashlib.sha256(key).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 
-DEFAULT_AR_DELAYS = DelayGrid(range(1, 11))
+
+@dataclass(frozen=True)
+class System:
+    """What the harness knows of one benchmark system.
+
+    `simulate(cell, seed, nmm_config)` reads its size and coupling from the
+    cell; `delays(fs)` is the default delay grid at the sample rate left
+    after decimation. The rest are the cell defaults for the pipeline.
+    """
+
+    simulate: Callable[
+        [dict[str, Any], int, NmmConfig | None], tuple[MultivariateSeries, GroundTruth]
+    ]
+    delays: Callable[[float | None], range]
+    decimate: int
+    d: int
+    delay_sensitive: bool
+    one_delay_per_pair: bool
+
+
+def _first_ten_samples(fs: float | None) -> range:
+    return range(1, 11)
+
+
+def _ten_to_hundred_ms(fs: float) -> range:
+    return range(max(int(round(10.0 * fs / 1000.0)), 1), int(round(100.0 * fs / 1000.0)) + 1)
+
+
+SYSTEMS: dict[str, System] = {
+    "ar": System(
+        simulate=lambda cell, seed, _: simulate_ar(int(cell.get("T", 10_000)), seed),
+        delays=_first_ten_samples,
+        decimate=1,
+        d=100,
+        delay_sensitive=True,
+        one_delay_per_pair=False,
+    ),
+    "lorenz": System(
+        simulate=lambda cell, seed, _: simulate_lorenz_chain(
+            int(cell.get("T", 10_000)), c=float(cell.get("c", 0.6)), seed=seed
+        ),
+        delays=_first_ten_samples,
+        decimate=1,
+        d=100,
+        delay_sensitive=False,
+        one_delay_per_pair=False,
+    ),
+    # Subsampled so one pattern spans the synaptic response timescale; at the
+    # raw rate the 3-sample patterns are far shorter than the kernel and the
+    # estimator cannot separate direct from shared drive.
+    "nmm": System(
+        simulate=lambda cell, seed, cfg: simulate_nmm(
+            reproduction_nmm_config() if cfg is None else cfg,
+            float(cell.get("K", 5.0)),
+            int(cell.get("T", 10_000)),
+            seed,
+        ),
+        delays=_ten_to_hundred_ms,
+        decimate=5,
+        d=1,
+        delay_sensitive=True,
+        one_delay_per_pair=True,
+    ),
+}
 
 
 def run_realization(
@@ -145,72 +209,45 @@ def run_realization(
     seed: int,
     nmm_config: NmmConfig | None = None,
 ) -> Metrics:
-    """simulate -> observation noise -> infer -> score for a single seed."""
-    t = int(cell.get("T", 10_000))
-    nl = float(cell.get("NL", 0.0))
-    lam = float(cell.get("lambda", 0.995))
-    delta = float(cell.get("delta", 0.15))
-    m = int(cell.get("M", 3))
-    d = int(cell.get("d", 100))
-    r_max = int(cell.get("r_max", 3))
+    """simulate -> observation noise -> infer -> score for a single seed.
 
-    factor = int(cell.get("decimate", 1))
-    one_delay_per_pair = bool(cell.get("one_delay_per_pair", False))
-
-    if system == "ar":
-        series, truth = simulate_ar(t, seed)
-        delays = DelayGrid(cell.get("delays", DEFAULT_AR_DELAYS.delays))
-        delay_sensitive = True
-    elif system == "lorenz":
-        series, truth = simulate_lorenz_chain(t, c=float(cell.get("c", 0.6)), seed=seed)
-        delays = DelayGrid(cell.get("delays", DEFAULT_AR_DELAYS.delays))
-        delay_sensitive = False
-    elif system == "nmm":
-        if nmm_config is None:
-            raise ValueError("nmm sweeps require an NmmConfig")
-        series, truth = simulate_nmm(
-            nmm_config, float(cell.get("K", 5.0)), t, seed
-        )
-        d = int(cell.get("d", 1))
-        # Subsample so one pattern spans the synaptic response timescale;
-        # at the raw rate the 3-sample patterns are far shorter than the
-        # kernel and the estimator cannot separate direct from shared drive.
-        factor = int(cell.get("decimate", 5))
-        one_delay_per_pair = bool(cell.get("one_delay_per_pair", True))
-        fs = nmm_config.sample_rate / factor
-        lo = max(int(round(10.0 * fs / 1000.0)), 1)
-        hi = int(round(100.0 * fs / 1000.0))
-        delays = DelayGrid(cell.get("delays", range(lo, hi + 1)))
-        delay_sensitive = True
-    else:
+    For "nmm", a `nmm_config` of None means the reproduction configuration.
+    """
+    if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-
-    noisy = add_observation_noise(series, nl, seed + 1)
+    spec = SYSTEMS[system]
+    series, truth = spec.simulate(cell, seed, nmm_config)
+    noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
+    factor = int(cell.get("decimate", spec.decimate))
     if factor > 1:
         noisy = decimate(noisy, factor)
         truth = GroundTruth(
             edges=[(s, tg, max(1, int(round(dl / factor)))) for s, tg, dl in truth.edges],
             description=truth.description,
         )
+    delays = DelayGrid(cell.get("delays", spec.delays(noisy.sample_rate)))
     network = infer_network(
         noisy,
-        EmbeddingParams(m=m, d=d),
+        EmbeddingParams(m=int(cell.get("M", 3)), d=int(cell.get("d", spec.d))),
         delays,
-        lam=lam,
-        delta=delta,
-        r_max=r_max,
-        one_delay_per_pair=one_delay_per_pair,
+        lam=float(cell.get("lambda", 0.995)),
+        delta=float(cell.get("delta", 0.15)),
+        r_max=int(cell.get("r_max", 3)),
+        one_delay_per_pair=bool(cell.get("one_delay_per_pair", spec.one_delay_per_pair)),
     )
-    counts = score(network, truth, series.n_channels, delays, delay_sensitive)
+    counts = score(network, truth, series.n_channels, delays, spec.delay_sensitive)
     return metrics(counts)
 
 
-def _aggregate(values: list[float | None]) -> tuple[float | None, float | None]:
-    defined = [v for v in values if v is not None]
-    if not defined:
-        return None, None
-    arr = np.asarray(defined, dtype=float)
-    return float(arr.mean()), float(arr.std())
+def _stats(results: list[Metrics]) -> dict[str, float | None]:
+    """Mean and std of each metric over the realizations where it is defined."""
+    stats: dict[str, float | None] = {}
+    for name in ("tpr", "fpr", "f1"):
+        defined = [v for v in (getattr(r, name) for r in results) if v is not None]
+        arr = np.asarray(defined, dtype=float)
+        stats[f"{name}_mean"] = float(arr.mean()) if defined else None
+        stats[f"{name}_std"] = float(arr.std()) if defined else None
+    return stats
 
 
 def _run_cell(args) -> SweepCell:
@@ -223,19 +260,11 @@ def _run_cell(args) -> SweepCell:
             results.append(run_realization(system, cell_params, s, nmm_config))
         except Exception as exc:  # recorded, not fatal, per cell contract
             errors.append(f"seed {s}: {exc}")
-    tpr_mean, tpr_std = _aggregate([r.tpr for r in results])
-    fpr_mean, fpr_std = _aggregate([r.fpr for r in results])
-    f1_mean, f1_std = _aggregate([r.f1 for r in results])
     return SweepCell(
         params=dict(cell_params),
         n_realizations=len(results),
         seeds=seeds,
-        tpr_mean=tpr_mean,
-        tpr_std=tpr_std,
-        fpr_mean=fpr_mean,
-        fpr_std=fpr_std,
-        f1_mean=f1_mean,
-        f1_std=f1_std,
+        stats=_stats(results),
         errors=errors,
     )
 

@@ -177,20 +177,3 @@ def build_moptn(series: MultivariateSeries, params: EmbeddingParams) -> PatternM
     )
     return PatternMatrix(symbols=symbols, params=params)
 
-
-def transition_network(symbols: np.ndarray, n_patterns: int) -> np.ndarray:
-    """Empirical transition-frequency matrix of one symbol sequence.
-
-    Rows with at least one outgoing transition are normalized to sum to 1;
-    symbols that never occur leave an all-zero row.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size < 2:
-        raise SeriesTooShort("need at least 2 symbols to count transitions")
-    counts = np.bincount(
-        symbols[:-1] * n_patterns + symbols[1:], minlength=n_patterns * n_patterns
-    ).reshape(n_patterns, n_patterns)
-    freq = counts.astype(float)
-    row_sums = freq.sum(axis=1, keepdims=True)
-    np.divide(freq, row_sums, out=freq, where=row_sums > 0)
-    return freq

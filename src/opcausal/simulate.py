@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -185,31 +185,6 @@ def simulate_lorenz_chain(
     return MultivariateSeries(data=out, sample_rate=1.0 / dt), truth
 
 
-_NMM_REQUIRED = (
-    "g_e",
-    "g_s",
-    "g_f",
-    "h_e",
-    "h_s",
-    "h_f",
-    "e0",
-    "r",
-    "c_pe",
-    "c_ps",
-    "c_pf",
-    "c_ep",
-    "c_sp",
-    "c_fp",
-    "c_fs",
-    "c_ff",
-    "noise_mean",
-    "noise_var",
-    "sample_rate",
-    "delay_ms",
-    "coupling_weight",
-)
-
-
 @dataclass
 class NmmConfig:
     """Population parameters and network settings for the neural mass model.
@@ -260,10 +235,10 @@ class NmmConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NmmConfig":
-        missing = [k for k in _NMM_REQUIRED if k not in d]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ParameterUnset(f"missing neural-mass parameters: {', '.join(missing)}")
-        known = set(_NMM_REQUIRED) | {"n_regions"}
+        known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in known})
 
     @classmethod

@@ -21,7 +21,7 @@ from opcausal.causal import (
     prune_tensor,
     reliable_conditioning_size,
 )
-from opcausal.errors import CandidateNotALink
+from opcausal.errors import CandidateNotALink, DegenerateSample
 from opcausal.ordinal import PatternMatrix
 from opcausal.simulate import simulate_ar
 
@@ -188,6 +188,15 @@ class TestPipeline:
             if previous is not None:
                 assert edges <= previous
             previous = edges
+
+    def test_constant_channel_is_named(self, rng):
+        data = rng.standard_normal((3000, 3))
+        data[:, 2] = 1.0
+        series = MultivariateSeries(data=data)
+        with pytest.raises(DegenerateSample, match=r"2 \(x3\)"):
+            infer_network(
+                series, EmbeddingParams(m=3, d=1), DelayGrid(range(1, 4)), delta=0.0
+            )
 
     def test_network_params_recorded(self, random_series):
         net = infer_network(

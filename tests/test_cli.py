@@ -149,6 +149,29 @@ class TestCommands:
         assert payload["params"]["delta"] == 0.2  # flag wins
         assert payload["params"]["d"] == 1  # config file wins over default
 
+    @pytest.mark.parametrize(
+        "content,message", [({"lamda": 0.5}, "lamda"), ([1, 2], "JSON object")]
+    )
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        rc = main(
+            [
+                "infer",
+                "--input",
+                str(tmp_path / "run.csv"),
+                "--out",
+                str(tmp_path / "net.json"),
+                "--config",
+                str(cfg),
+            ]
+        )
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "net.json").exists()
+
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep"
         rc = main(
@@ -169,7 +192,15 @@ class TestCommands:
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("system,")
+        assert lines[0] == (
+            "system,T,delta,realization_count,"
+            "tpr_mean,tpr_std,fpr_mean,fpr_std,f1_mean,f1_std"
+        )
+        assert lines[1].startswith("ar,4000,0.15,1,")
+        cell = json.loads((tmp_path / "sweep.json").read_text())["cells"][0]
+        assert list(cell["stats"]) == [
+            "tpr_mean", "tpr_std", "fpr_mean", "fpr_std", "f1_mean", "f1_std"
+        ]
 
     def test_sweep_needs_an_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--system", "ar", "--out", str(tmp_path / "s")])

@@ -1,4 +1,6 @@
-"""Scoring, seed derivation, sweeps, and windowed coupling."""
+"""Scoring, seed derivation, the systems table, sweeps, and windowed coupling."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +16,14 @@ from opcausal import (
 )
 from opcausal.causal import CausalNetwork, Edge
 from opcausal.errors import ChannelMismatch, WindowTooShort
-from opcausal.evaluate import ConfusionCounts, derive_seed, run_realization
-from opcausal.simulate import GroundTruth
+from opcausal.evaluate import SYSTEMS, ConfusionCounts, derive_seed, run_realization
+from opcausal.simulate import (
+    GroundTruth,
+    reproduction_nmm_config,
+    simulate_ar,
+    simulate_lorenz_chain,
+    simulate_nmm,
+)
 
 
 def network_of(triples):
@@ -102,7 +110,29 @@ class TestDeriveSeed:
             assert derive_seed(0, {"x": i}, i) >= 0
 
 
+# (system, cell, seed) -> (TPR, FPR, F1), recorded before the per-system
+# dispatch became the SYSTEMS table; every cell default must still apply.
+PINNED_REALIZATIONS = [
+    ("ar", {"T": 4000, "NL": 0.2}, 5, (1.0, 0.04781997187060478, 0.34615384615384615)),
+    (
+        "ar",
+        {"T": 4000, "decimate": 2, "d": 3},
+        5,
+        (1 / 3, 0.01969057665260197, 0.23076923076923078),
+    ),
+    ("lorenz", {"T": 3000, "c": 0.4}, 5, (1.0, 1.0, 0.5)),
+    ("nmm", {"T": 20_000}, 3, (1.0, 0.000942507068803016, 0.8571428571428571)),
+    ("nmm", {"T": 20_000, "decimate": 1}, 3, (0.0, 0.0, 0.0)),
+]
+
+
 class TestRunRealization:
+    @pytest.mark.parametrize("system,cell,seed,expected", PINNED_REALIZATIONS)
+    def test_pinned_metrics(self, system, cell, seed, expected):
+        nmm_config = reproduction_nmm_config() if system == "nmm" else None
+        m = run_realization(system, cell, seed, nmm_config)
+        assert (m.tpr, m.fpr, m.f1) == expected
+
     def test_ar_realization_recovers_structure(self):
         m = run_realization("ar", {"T": 10_000, "delta": 0.15}, seed=11)
         assert m.tpr == 1.0
@@ -112,9 +142,31 @@ class TestRunRealization:
         with pytest.raises(ValueError):
             run_realization("weather", {}, seed=0)
 
-    def test_nmm_requires_config(self):
-        with pytest.raises(ValueError):
-            run_realization("nmm", {"T": 1000}, seed=0)
+
+class TestSystems:
+    CELL = {"T": 300, "c": 0.4, "K": 5.0}
+
+    @pytest.mark.parametrize(
+        "name,direct",
+        [
+            ("ar", lambda: simulate_ar(300, 7)),
+            ("lorenz", lambda: simulate_lorenz_chain(300, c=0.4, seed=7)),
+            ("nmm", lambda: simulate_nmm(reproduction_nmm_config(), 5.0, 300, 7)),
+        ],
+    )
+    def test_simulate_equals_direct_call(self, name, direct):
+        got, got_truth = SYSTEMS[name].simulate(self.CELL, 7, None)
+        want, want_truth = direct()
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.sample_rate == want.sample_rate
+        assert got_truth.edges == want_truth.edges
+
+    def test_nmm_takes_a_given_config(self):
+        cfg = replace(reproduction_nmm_config(), n_regions=3)
+        got, _ = SYSTEMS["nmm"].simulate(self.CELL, 7, cfg)
+        want, _ = simulate_nmm(cfg, 5.0, 300, 7)
+        assert got.data.shape == (300, 3)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestSweep:
@@ -128,7 +180,10 @@ class TestSweep:
         assert len(result.cells) == 2
         for cell in result.cells:
             assert cell.n_realizations == 2
-            assert cell.tpr_mean is not None
+            assert list(cell.stats) == [
+                "tpr_mean", "tpr_std", "fpr_mean", "fpr_std", "f1_mean", "f1_std"
+            ]
+            assert cell.stats["tpr_mean"] is not None
             assert not cell.errors
 
     def test_empty_grid_rejected(self):

@@ -11,12 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from opcausal import EmbeddingParams, MultivariateSeries, build_moptn, embed
 from opcausal.errors import NonFiniteValue, SeriesTooShort
-from opcausal.ordinal import (
-    decimate,
-    encode_pattern,
-    encode_series,
-    transition_network,
-)
+from opcausal.ordinal import decimate, encode_pattern, encode_series
 
 
 def lex_rank(perm):
@@ -134,25 +129,6 @@ class TestBuildMoptn:
             build_moptn(
                 MultivariateSeries(data=np.zeros((4, 2))), EmbeddingParams(m=3, d=2)
             )
-
-
-class TestTransitionNetwork:
-    def test_rows_normalized(self, rng):
-        symbols = rng.integers(0, 6, size=1000)
-        freq = transition_network(symbols, 6)
-        row_sums = freq.sum(axis=1)
-        present = np.unique(symbols[:-1])
-        np.testing.assert_allclose(row_sums[present], 1.0)
-
-    def test_absent_symbol_leaves_zero_row(self):
-        freq = transition_network(np.array([0, 1, 0, 1]), 6)
-        assert np.all(freq[5] == 0)
-
-    def test_deterministic_cycle(self):
-        freq = transition_network(np.array([0, 1, 2, 0, 1, 2, 0]), 3)
-        want = np.zeros((3, 3))
-        want[0, 1] = want[1, 2] = want[2, 0] = 1.0
-        np.testing.assert_allclose(freq, want)
 
 
 class TestDecimate:
