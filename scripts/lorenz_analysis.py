@@ -26,37 +26,17 @@ import sys
 import numpy as np
 
 from opcausal import DelayGrid, EmbeddingParams, simulate_lorenz_chain
-from opcausal.causal import (
-    candidate_tensor,
-    epsilon_test,
-    minimal_conditioning_set,
-    neighbor_sets,
-    reliable_conditioning_size,
-)
-from opcausal.errors import CandidateNotALink
+from opcausal.causal import candidate_tensor, lowest_ce_per_pair, prune_tensor
 from opcausal.ordinal import decimate
 
 PAIRS = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]
 
 
 def epsilon_table(series, params, grid, delta):
+    """{pair: epsilon at the pair's lowest-CE candidate lag, or None}."""
     pi, tensor = candidate_tensor(series, params, grid)
-    sets = neighbor_sets(tensor)
-    r = reliable_conditioning_size(pi)
-    out = {}
-    for src, tgt in PAIRS:
-        j = int(np.argmin(tensor.values[tgt, src, :]))
-        tau = tensor.delays.delays[j]
-        try:
-            p_min = minimal_conditioning_set(
-                sets, tgt, src, r_max=r, fallback_delay=grid.min_delay
-            )
-        except CandidateNotALink:
-            out[(src, tgt)] = None
-            continue
-        _, eps = epsilon_test(pi, tgt, src, tau, p_min, delta, r_max=r)
-        out[(src, tgt)] = eps
-    return out
+    best = lowest_ce_per_pair(prune_tensor(pi, tensor, delta))
+    return {pair: best[pair].epsilon if pair in best else None for pair in PAIRS}
 
 
 def report(label, tables):

@@ -23,13 +23,7 @@ import sys
 import numpy as np
 
 from opcausal import DelayGrid, EmbeddingParams, reproduction_nmm_config, simulate_nmm
-from opcausal.causal import (
-    candidate_tensor,
-    epsilon_test,
-    minimal_conditioning_set,
-    neighbor_sets,
-    reliable_conditioning_size,
-)
+from opcausal.causal import candidate_tensor, lowest_ce_per_pair, prune_tensor
 from opcausal.evaluate import run_realization
 from opcausal.ordinal import decimate
 
@@ -58,17 +52,16 @@ def part2(cfg, args):
     dec = decimate(series, DECIMATION)
     grid = DelayGrid(range(2, 21))
     pi, tensor = candidate_tensor(dec, EmbeddingParams(3, 1), grid)
-    sets = neighbor_sets(tensor)
-    r = reliable_conditioning_size(pi)
+    best = lowest_ce_per_pair(prune_tensor(pi, tensor, args.delta))
     rows = [(0, 4, "true"), (0, 5, "true"), (4, 5, "sibling"), (5, 4, "sibling"), (1, 2, "unrelated")]
     print(f"  {'pair':>10} {'kind':>10} {'best lag (ms)':>14} {'epsilon':>9}")
     for src, tgt, kind in rows:
-        j = int(np.argmin(tensor.values[tgt, src, :]))
-        tau = tensor.delays.delays[j]
-        p_min = minimal_conditioning_set(sets, tgt, src, r_max=r, fallback_delay=grid.min_delay)
-        _, eps = epsilon_test(pi, tgt, src, tau, p_min, args.delta, r_max=r)
-        ms = tau * 1000.0 / dec.sample_rate
-        print(f"  {src:>5}->{tgt:<3} {kind:>10} {ms:>14.0f} {eps:>9.3f}")
+        row = best.get((src, tgt))
+        if row is None:
+            print(f"  {src:>5}->{tgt:<3} {kind:>10} {'no candidate':>14}")
+            continue
+        ms = row.delay * 1000.0 / dec.sample_rate
+        print(f"  {src:>5}->{tgt:<3} {kind:>10} {ms:>14.0f} {row.epsilon:>9.3f}")
     print(
         f"\n  Reading: sibling epsilon exceeds the true links' range, so no "
         f"delta can prune 4<->5 while keeping 0->4 and 0->5; delta={args.delta} "

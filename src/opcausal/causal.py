@@ -2,8 +2,9 @@
 
 A sub-threshold entry is only a candidate link; each candidate is tested by
 conditioning the target on a small set of shared neighbors and measuring how
-much additional entropy reduction the candidate source provides. Candidates
-whose contribution falls below delta are pruned as indirect.
+much additional entropy reduction the candidate source provides. The test
+gives one `Evidence` row per candidate; candidates whose contribution falls
+below delta are pruned as indirect.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from typing import Any
 import numpy as np
 
 from .entropy import (
+    DEFAULT_DELTA,
+    DEFAULT_LAMBDA,
     DEFAULT_R_MAX,
     MIN_SAMPLES_PER_STATE,
     CETensor,
@@ -47,6 +50,22 @@ class NeighborSets:
     parents: dict[int, list[Neighbor]]
     children: dict[int, list[Neighbor]]
     n_channels: int
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """One candidate link and its epsilon test; any delta <= epsilon keeps it.
+
+    epsilon is the drop in the target's entropy when the source joins
+    `conditioning`; ce is the candidate's pairwise conditional entropy.
+    """
+
+    source: int
+    target: int
+    delay: int
+    ce: float
+    conditioning: ConditioningSet
+    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -153,25 +172,19 @@ def epsilon_test(
     return eps >= delta, eps
 
 
-def _edges_from_tensor(tensor: CETensor, one_per_pair: bool = False) -> list[Edge]:
-    edges = []
-    targets, sources, lags = np.nonzero(tensor.values < tensor.h_max)
-    for tgt, src, j in zip(targets, sources, lags):
-        ce = float(tensor.values[tgt, src, j])
-        edges.append(
-            Edge(
-                source=int(src),
-                target=int(tgt),
-                delay=tensor.delays.delays[j],
-                ce=ce,
-                strength=tensor.h_max - ce,
-            )
-        )
+def lowest_ce_per_pair(links):
+    """{(source, target): its lowest-(ce, delay) link} of Evidence rows or edges."""
+    best = {}
+    for link in sorted(links, key=lambda link: (link.ce, link.delay)):
+        best.setdefault((link.source, link.target), link)
+    return best
+
+
+def _edges(links, h_max: float, one_per_pair: bool = False) -> list[Edge]:
+    """Edges of (source, target, delay, ce) links, by source, target, delay."""
+    edges = [Edge(src, tgt, tau, ce, h_max - ce) for src, tgt, tau, ce in links]
     if one_per_pair:
-        best: dict[tuple[int, int], Edge] = {}
-        for e in sorted(edges, key=lambda e: (e.ce, e.delay)):
-            best.setdefault((e.source, e.target), e)
-        edges = list(best.values())
+        edges = list(lowest_ce_per_pair(edges).values())
     edges.sort(key=lambda e: (e.source, e.target, e.delay))
     return edges
 
@@ -180,7 +193,7 @@ def candidate_tensor(
     series: MultivariateSeries,
     params: EmbeddingParams,
     delays: DelayGrid,
-    lam: float = 0.995,
+    lam: float = DEFAULT_LAMBDA,
 ) -> tuple[PatternMatrix, CETensor]:
     """Encoding, pairwise entropies, and thresholding (no pruning).
 
@@ -200,12 +213,14 @@ def bivariate_network(
     series: MultivariateSeries,
     params: EmbeddingParams,
     delays: DelayGrid,
-    lam: float = 0.995,
+    lam: float = DEFAULT_LAMBDA,
 ) -> CausalNetwork:
     """Network from thresholding alone; indirect links are not removed."""
     _, tensor = candidate_tensor(series, params, delays, lam)
+    parents = neighbor_sets(tensor).parents
+    links = [(p.channel, m, p.delay, p.ce) for m in parents for p in parents[m]]
     return CausalNetwork(
-        edges=_edges_from_tensor(tensor),
+        edges=_edges(links, tensor.h_max),
         h_max=tensor.h_max,
         params=_param_snapshot(params, delays, lam, delta=None, r_max=None),
     )
@@ -233,29 +248,25 @@ def prune_tensor(
     tensor: CETensor,
     delta: float,
     r_max: int = DEFAULT_R_MAX,
-) -> CETensor:
-    """Run the epsilon test on every candidate and drop the indirect ones.
+) -> list[Evidence]:
+    """Run the epsilon test on every candidate: one Evidence row each.
 
-    Decisions are computed against the frozen input tensor and applied in one
-    batch, so the outcome never depends on evaluation order.
+    Every conditioning set comes from the thresholded input tensor alone, so
+    the rows never depend on evaluation order, and not on delta either:
+    delta only sets each epsilon_test's keep flag, `epsilon >= delta`. Rows
+    are ordered by target, source and delay.
     """
     sets = neighbor_sets(tensor)
-    fallback_delay = tensor.delays.min_delay
     r_eff = reliable_conditioning_size(pi, r_max)
-    to_prune: list[tuple[int, int, int]] = []
-    delay_index = {tau: j for j, tau in enumerate(tensor.delays)}
+    rows = []
     for m in range(sets.n_channels):
         for cand in sets.parents[m]:
             p_min = minimal_conditioning_set(
-                sets, m, cand.channel, r_max=r_eff, fallback_delay=fallback_delay
+                sets, m, cand.channel, r_max=r_eff, fallback_delay=tensor.delays.min_delay
             )
-            keep, _ = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta, r_max)
-            if not keep:
-                to_prune.append((m, cand.channel, delay_index[cand.delay]))
-    out = tensor.copy()
-    for tgt, src, j in to_prune:
-        out.values[tgt, src, j] = tensor.h_max
-    return out
+            _, eps = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta, r_max)
+            rows.append(Evidence(cand.channel, m, cand.delay, cand.ce, p_min, eps))
+    return rows
 
 
 def _param_snapshot(params, delays, lam, delta, r_max) -> dict[str, Any]:
@@ -273,8 +284,8 @@ def infer_network(
     series: MultivariateSeries,
     params: EmbeddingParams,
     delays: DelayGrid,
-    lam: float = 0.995,
-    delta: float = 0.15,
+    lam: float = DEFAULT_LAMBDA,
+    delta: float = DEFAULT_DELTA,
     r_max: int = DEFAULT_R_MAX,
     one_delay_per_pair: bool = False,
 ) -> CausalNetwork:
@@ -285,9 +296,10 @@ def infer_network(
     through a smooth response so several neighboring lags pass the tests.
     """
     pi, tensor = candidate_tensor(series, params, delays, lam)
-    pruned = prune_tensor(pi, tensor, delta, r_max)
+    rows = prune_tensor(pi, tensor, delta, r_max)
+    kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]
     return CausalNetwork(
-        edges=_edges_from_tensor(pruned, one_per_pair=one_delay_per_pair),
+        edges=_edges(kept, tensor.h_max, one_per_pair=one_delay_per_pair),
         h_max=tensor.h_max,
         params=_param_snapshot(params, delays, lam, delta, r_max),
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .causal import CausalNetwork, infer_network
-from .entropy import DelayGrid
+from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DEFAULT_R_MAX, DelayGrid
 from .errors import OpcausalError
 from .evaluate import SYSTEMS, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
@@ -29,19 +29,17 @@ from .simulate import GroundTruth, NmmConfig, add_observation_noise
 DEFAULTS = {
     "M": 3,
     "d": 100,
-    "lambda": 0.995,
-    "delta": 0.15,
-    "r_max": 3,
+    "lambda": DEFAULT_LAMBDA,
+    "delta": DEFAULT_DELTA,
+    "r_max": DEFAULT_R_MAX,
     "delays": "1-10",
 }
 
 
 def write_series_csv(series: MultivariateSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(series.channel_names)
-        for row in series.data:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(series.channel_names)
+        np.savetxt(fh, series.data, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def read_series_csv(path: str | Path, sample_rate: float | None = None) -> MultivariateSeries:
@@ -228,17 +226,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid: dict[str, list] = {}
-    if args.delta:
-        grid["delta"] = _parse_list(args.delta)
-    if args.T:
-        grid["T"] = _parse_list(args.T, int)
-    if args.NL:
-        grid["NL"] = _parse_list(args.NL)
-    if args.lambda_:
-        grid["lambda"] = _parse_list(args.lambda_)
-    if args.K:
-        grid["K"] = _parse_list(args.K)
+    flags = {"delta": args.delta, "T": args.T, "NL": args.NL, "lambda": args.lambda_, "K": args.K}
+    grid = {k: _parse_list(v, int if k == "T" else float) for k, v in flags.items() if v}
     if not grid:
         raise OpcausalError("sweep needs at least one axis (--delta/--T/--NL/--lambda/--K)")
     result = sweep(

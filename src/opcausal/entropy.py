@@ -26,6 +26,9 @@ from .ordinal import PatternMatrix
 # estimate becomes unreliable; we warn rather than fail.
 MIN_SAMPLES_PER_STATE = 10
 
+# pipeline defaults: lambda (fraction of h_max), delta (bits), conditioning size
+DEFAULT_LAMBDA = 0.995
+DEFAULT_DELTA = 0.15
 DEFAULT_R_MAX = 3
 
 

@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .causal import CausalNetwork, infer_network
-from .entropy import DelayGrid
+from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DEFAULT_R_MAX, DelayGrid
 from .errors import ChannelMismatch, WindowTooShort
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
@@ -142,11 +142,12 @@ def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -
 class System:
     """What the harness knows of one benchmark system.
 
-    `simulate(cell, seed, nmm_config)` reads its size and coupling from the
-    cell; `delays(fs)` is the default delay grid at the sample rate left
-    after decimation. The rest are the cell defaults for the pipeline.
+    `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`;
+    `delays(fs)` is the default delay grid at the sample rate left after
+    decimation. The rest are the cell defaults for the pipeline.
     """
 
+    reads: tuple[str, ...]
     simulate: Callable[
         [dict[str, Any], int, NmmConfig | None], tuple[MultivariateSeries, GroundTruth]
     ]
@@ -167,6 +168,7 @@ def _ten_to_hundred_ms(fs: float) -> range:
 
 SYSTEMS: dict[str, System] = {
     "ar": System(
+        reads=("T",),
         simulate=lambda cell, seed, _: simulate_ar(int(cell.get("T", 10_000)), seed),
         delays=_first_ten_samples,
         decimate=1,
@@ -175,6 +177,7 @@ SYSTEMS: dict[str, System] = {
         one_delay_per_pair=False,
     ),
     "lorenz": System(
+        reads=("T", "c"),
         simulate=lambda cell, seed, _: simulate_lorenz_chain(
             int(cell.get("T", 10_000)), c=float(cell.get("c", 0.6)), seed=seed
         ),
@@ -188,6 +191,7 @@ SYSTEMS: dict[str, System] = {
     # raw rate the 3-sample patterns are far shorter than the kernel and the
     # estimator cannot separate direct from shared drive.
     "nmm": System(
+        reads=("T", "K"),
         simulate=lambda cell, seed, cfg: simulate_nmm(
             reproduction_nmm_config() if cfg is None else cfg,
             float(cell.get("K", 5.0)),
@@ -202,6 +206,21 @@ SYSTEMS: dict[str, System] = {
     ),
 }
 
+# the cell keys run_realization reads for every system
+_PIPELINE_KEYS = frozenset(
+    ("NL", "decimate", "delays", "M", "d", "lambda", "delta", "r_max", "one_delay_per_pair")
+)
+
+
+def _system(name: str, keys) -> System:
+    """SYSTEMS[name], after checking that some part of a cell reads each key."""
+    if name not in SYSTEMS:
+        raise ValueError(f"unknown system {name!r}")
+    unread = sorted(set(keys) - _PIPELINE_KEYS - set(SYSTEMS[name].reads))
+    if unread:
+        raise ValueError(f"system {name!r} reads no cell key {', '.join(unread)}")
+    return SYSTEMS[name]
+
 
 def run_realization(
     system: str,
@@ -212,10 +231,9 @@ def run_realization(
     """simulate -> observation noise -> infer -> score for a single seed.
 
     For "nmm", a `nmm_config` of None means the reproduction configuration.
+    A cell key that no part of the pipeline reads raises ValueError.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    spec = SYSTEMS[system]
+    spec = _system(system, cell)
     series, truth = spec.simulate(cell, seed, nmm_config)
     noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
     factor = int(cell.get("decimate", spec.decimate))
@@ -230,9 +248,9 @@ def run_realization(
         noisy,
         EmbeddingParams(m=int(cell.get("M", 3)), d=int(cell.get("d", spec.d))),
         delays,
-        lam=float(cell.get("lambda", 0.995)),
-        delta=float(cell.get("delta", 0.15)),
-        r_max=int(cell.get("r_max", 3)),
+        lam=float(cell.get("lambda", DEFAULT_LAMBDA)),
+        delta=float(cell.get("delta", DEFAULT_DELTA)),
+        r_max=int(cell.get("r_max", DEFAULT_R_MAX)),
         one_delay_per_pair=bool(cell.get("one_delay_per_pair", spec.one_delay_per_pair)),
     )
     counts = score(network, truth, series.n_channels, delays, spec.delay_sensitive)
@@ -280,6 +298,7 @@ def sweep(
     """Evaluate every cell of the cartesian product of the grid axes."""
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    _system(system, grid)  # an unread axis fails before any realization runs
     if n_realizations < 1:
         raise ValueError("need at least one realization per cell")
     axes = sorted(grid)
@@ -316,9 +335,9 @@ def windowed_analysis(
     overlap: float,
     params: EmbeddingParams,
     delays: DelayGrid,
-    lam: float = 0.995,
-    delta: float = 0.1,
-    r_max: int = 3,
+    lam: float = DEFAULT_LAMBDA,
+    delta: float = DEFAULT_DELTA,
+    r_max: int = DEFAULT_R_MAX,
 ) -> WindowedCoupling:
     """Per-window inference with strengths normalized over the recording.
 

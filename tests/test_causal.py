@@ -15,9 +15,11 @@ from opcausal import (
     neighbor_sets,
 )
 from opcausal.causal import (
+    Evidence,
     Neighbor,
     NeighborSets,
     candidate_tensor,
+    lowest_ce_per_pair,
     prune_tensor,
     reliable_conditioning_size,
 )
@@ -156,7 +158,9 @@ class TestPipeline:
         )
         once = prune_tensor(pi, tensor, delta=0.15)
         again = prune_tensor(pi, tensor, delta=0.15)
-        np.testing.assert_array_equal(once.values, again.values)
+        assert once and once == again
+        # the rows do not depend on delta either
+        assert prune_tensor(pi, tensor, delta=0.5) == once
 
     def test_one_delay_per_pair_keeps_lowest_ce(self):
         series, _ = simulate_ar(10_000, seed=3)
@@ -205,3 +209,61 @@ class TestPipeline:
         assert net.params["m"] == 3
         assert net.params["delta"] == 0.2
         assert net.params["delays"] == [1, 2]
+
+
+class TestEvidence:
+    GRID = DelayGrid(range(1, 11))
+    PARAMS = EmbeddingParams(m=3, d=100)
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
+        series, _ = simulate_ar(6000, seed=5, couplings=couplings, n_channels=3)
+        pi, tensor = candidate_tensor(series, self.PARAMS, self.GRID)
+        return series, pi, tensor, prune_tensor(pi, tensor, delta=0.15)
+
+    def test_one_row_per_candidate(self, chain):
+        _, _, tensor, rows = chain
+        targets, sources, lags = np.nonzero(tensor.values < tensor.h_max)
+        assert [(r.target, r.source, r.delay) for r in rows] == [
+            (t, s, self.GRID.delays[j]) for t, s, j in zip(targets, sources, lags)
+        ]
+        for r in rows:
+            j = self.GRID.delays.index(r.delay)
+            assert r.ce == tensor.values[r.target, r.source, j]
+
+    def test_epsilon_is_the_test_on_its_own_conditioning(self, chain):
+        _, pi, _, rows = chain
+        for r in rows:
+            keep, eps = epsilon_test(
+                pi, r.target, r.source, r.delay, r.conditioning, delta=0.15
+            )
+            assert eps == r.epsilon
+            assert keep == (r.epsilon >= 0.15)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.15, 0.4])
+    def test_infer_network_keeps_rows_at_delta(self, chain, delta):
+        series, _, _, rows = chain
+        net = infer_network(series, self.PARAMS, self.GRID, delta=delta)
+        assert net.edge_triples() == {
+            (r.source, r.target, r.delay) for r in rows if r.epsilon >= delta
+        }
+
+    def test_bivariate_network_is_every_candidate(self, chain):
+        series, _, tensor, rows = chain
+        bi = bivariate_network(series, self.PARAMS, self.GRID)
+        assert [(e.source, e.target, e.delay, e.ce) for e in bi.edges] == sorted(
+            (r.source, r.target, r.delay, r.ce) for r in rows
+        )
+        assert all(e.strength == tensor.h_max - e.ce for e in bi.edges)
+
+    def test_lowest_ce_per_pair(self):
+        cond = ConditioningSet([(2, 1)])
+        rows = [
+            Evidence(0, 1, 3, 2.0, cond, 0.1),
+            Evidence(0, 1, 5, 1.5, cond, 0.2),
+            Evidence(0, 1, 2, 1.5, cond, 0.3),
+            Evidence(1, 0, 4, 2.2, cond, 0.4),
+        ]
+        best = lowest_ce_per_pair(rows)
+        assert best == {(0, 1): rows[2], (1, 0): rows[3]}

@@ -29,6 +29,25 @@ class TestSeriesCsvRoundTrip:
         np.testing.assert_array_equal(back.data, series.data)
         assert back.channel_names == ["a", "b", "c"]
 
+    def test_written_bytes(self, tmp_path):
+        data = np.array(
+            [
+                [0.1, -0.0, 1 / 3],
+                [-2.5e-7, 1e300, 5e-324],
+                [3.0, -12345678901234567.0, 2.0**0.5],
+            ]
+        )
+        path = tmp_path / "series.csv"
+        write_series_csv(
+            MultivariateSeries(data=data, channel_names=["a", "b,c", 'd"e']), path
+        )
+        assert path.read_bytes() == (
+            b'a,"b,c","d""e"\r\n'
+            b"0.10000000000000001,-0,0.33333333333333331\r\n"
+            b"-2.4999999999999999e-07,1.0000000000000001e+300,4.9406564584124654e-324\r\n"
+            b"3,-12345678901234568,1.4142135623730951\r\n"
+        )
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -201,6 +220,13 @@ class TestCommands:
         assert list(cell["stats"]) == [
             "tpr_mean", "tpr_std", "fpr_mean", "fpr_std", "f1_mean", "f1_std"
         ]
+
+    def test_sweep_axis_the_system_ignores_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--system", "ar", "--K", "1,5", "--R", "1", "--out", str(out)])
+        assert rc == 1
+        assert "reads no cell key K" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_needs_an_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--system", "ar", "--out", str(tmp_path / "s")])

@@ -14,6 +14,7 @@ from opcausal import (
     sweep,
     windowed_analysis,
 )
+from opcausal import evaluate
 from opcausal.causal import CausalNetwork, Edge
 from opcausal.errors import ChannelMismatch, WindowTooShort
 from opcausal.evaluate import SYSTEMS, ConfusionCounts, derive_seed, run_realization
@@ -142,6 +143,11 @@ class TestRunRealization:
         with pytest.raises(ValueError):
             run_realization("weather", {}, seed=0)
 
+    @pytest.mark.parametrize("system,key", [("ar", "K"), ("lorenz", "K"), ("nmm", "c")])
+    def test_cell_key_the_system_ignores(self, system, key):
+        with pytest.raises(ValueError, match=f"reads no cell key {key}"):
+            run_realization(system, {"T": 300, key: 1.0}, seed=0)
+
 
 class TestSystems:
     CELL = {"T": 300, "c": 0.4, "K": 5.0}
@@ -185,6 +191,14 @@ class TestSweep:
             ]
             assert cell.stats["tpr_mean"] is not None
             assert not cell.errors
+
+    def test_axis_the_system_ignores_fails_before_any_realization(self, monkeypatch):
+        def run_cell(args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(evaluate, "_run_cell", run_cell)
+        with pytest.raises(ValueError, match="reads no cell key K"):
+            sweep("ar", {"K": [1.0, 5.0], "delta": [0.15]}, 1, base_seed=0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
