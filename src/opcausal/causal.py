@@ -251,19 +251,21 @@ def prune_tensor(
 ) -> list[Evidence]:
     """Run the epsilon test on every candidate: one Evidence row each.
 
-    Every conditioning set comes from the thresholded input tensor alone, so
-    the rows never depend on evaluation order, and not on delta either:
-    delta only sets each epsilon_test's keep flag, `epsilon >= delta`. Rows
-    are ordered by target, source and delay.
+    Every conditioning set, one per (target, source) pair, comes from the
+    thresholded input tensor alone, so the rows never depend on evaluation
+    order, and not on delta either: delta only sets each epsilon_test's keep
+    flag, `epsilon >= delta`. Rows are ordered by target, source and delay.
     """
     sets = neighbor_sets(tensor)
     r_eff = reliable_conditioning_size(pi, r_max)
     rows = []
     for m in range(sets.n_channels):
+        p_mins = {
+            n: minimal_conditioning_set(sets, m, n, r_eff, tensor.delays.min_delay)
+            for n in dict.fromkeys(cand.channel for cand in sets.parents[m])
+        }
         for cand in sets.parents[m]:
-            p_min = minimal_conditioning_set(
-                sets, m, cand.channel, r_max=r_eff, fallback_delay=tensor.delays.min_delay
-            )
+            p_min = p_mins[cand.channel]
             _, eps = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta, r_max)
             rows.append(Evidence(cand.channel, m, cand.delay, cand.ce, p_min, eps))
     return rows

@@ -140,9 +140,9 @@ def _conditional_entropy_from_counts(counts: np.ndarray):
         raise DegenerateSample("no samples to estimate entropy from")
     joint = counts / total
     row = joint.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(row > 0, joint / row, 0.0)
-        terms = np.where(joint > 0, joint * np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
+    terms = np.divide(joint, row, out=np.zeros_like(joint), where=joint > 0)
+    np.log2(terms, out=terms, where=terms > 0)
+    terms *= joint
     h = -terms.reshape(*counts.shape[:-2], -1).sum(axis=-1)
     return float(h) if counts.ndim == 2 else h
 
@@ -244,13 +244,13 @@ def threshold(tensor: CETensor, lam: float) -> CETensor:
     return out
 
 
-def _joint_codes(pi: PatternMatrix, members, t_start: int) -> np.ndarray:
-    """Mixed-radix (base m!) code of the conditioning symbols at each t."""
-    f = pi.n_patterns
-    n_valid = pi.n_times - t_start
-    codes = np.zeros(n_valid, dtype=np.int64)
-    for channel, tau in members:
-        codes = codes * f + pi.symbols[t_start - tau : pi.n_times - tau, channel]
+def _joint_codes(pi: PatternMatrix, members, t_start: int, target: int) -> np.ndarray:
+    """Base-m! code of the conditioning symbols at each t, the target's last."""
+    digits = [pi.symbols[t_start - tau : pi.n_times - tau, c] for c, tau in members]
+    codes = digits[0].astype(np.int64)
+    for digit in (*digits[1:], pi.symbols[t_start:, target]):
+        codes *= pi.n_patterns
+        codes += digit
     return codes
 
 
@@ -301,23 +301,19 @@ def conditional_entropy_given_set(
             stacklevel=2,
         )
 
-    cond_codes = _joint_codes(pi, cond.members, t_start)
-    target_sym = pi.symbols[t_start:, target]
+    codes = _joint_codes(pi, cond.members, t_start, target)
     n_states = f ** len(cond)
     if n_states * f <= 10_000_000:
-        counts = np.bincount(
-            cond_codes * f + target_sym, minlength=n_states * f
-        ).reshape(n_states, f)
+        counts = np.bincount(codes, minlength=n_states * f).reshape(n_states, f)
         return _conditional_entropy_from_counts(counts)
-    return _conditional_entropy_sparse(cond_codes, target_sym)
+    return _conditional_entropy_sparse(codes, f)
 
 
-def _conditional_entropy_sparse(cond_codes: np.ndarray, target_sym: np.ndarray) -> float:
-    """Same estimator via unique-count grouping, for very large joint alphabets."""
-    total = cond_codes.size
-    pair_codes = cond_codes * (target_sym.max() + 1) + target_sym
-    _, joint_counts = np.unique(pair_codes, return_counts=True)
-    _, state_counts = np.unique(cond_codes, return_counts=True)
+def _conditional_entropy_sparse(codes: np.ndarray, f: int) -> float:
+    """Same estimator by unique counts of the joint codes, for huge alphabets."""
+    total = codes.size
+    _, joint_counts = np.unique(codes, return_counts=True)
+    _, state_counts = np.unique(codes // f, return_counts=True)
     h_joint = -np.sum(joint_counts / total * np.log2(joint_counts / total))
     h_state = -np.sum(state_counts / total * np.log2(state_counts / total))
     return float(h_joint - h_state)

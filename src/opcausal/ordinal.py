@@ -90,10 +90,13 @@ def decimate(series: MultivariateSeries, factor: int) -> MultivariateSeries:
 
 @dataclass
 class PatternMatrix:
-    """T' x N matrix of ordinal symbol indices in [0, m! - 1]."""
+    """T' x N ordinal symbol indices in [0, m! - 1], each channel contiguous."""
 
     symbols: np.ndarray
     params: EmbeddingParams
+
+    def __post_init__(self):
+        self.symbols = np.asfortranarray(self.symbols)
 
     @property
     def n_times(self) -> int:
@@ -172,8 +175,8 @@ def build_moptn(series: MultivariateSeries, params: EmbeddingParams) -> PatternM
             f"need at least {params.span + 1} samples for m={params.m}, d={params.d}; "
             f"got {series.n_samples}"
         )
-    symbols = np.column_stack(
+    symbols = np.stack(
         [encode_series(series.data[:, n], params) for n in range(series.n_channels)]
     )
-    return PatternMatrix(symbols=symbols, params=params)
+    return PatternMatrix(symbols=symbols.T, params=params)
 

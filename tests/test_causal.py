@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opcausal import causal
 from opcausal import (
     ConditioningSet,
     DelayGrid,
@@ -267,3 +268,38 @@ class TestEvidence:
         ]
         best = lowest_ce_per_pair(rows)
         assert best == {(0, 1): rows[2], (1, 0): rows[3]}
+
+
+class TestPruneWorkCounts:
+    """prune_tensor's calls, as the benchmark's tracer counts them."""
+
+    def test_calls_per_candidate_and_per_pair(self, monkeypatch):
+        series, _ = simulate_ar(10_000, seed=1)
+        grid = DelayGrid(range(1, 11))
+        pi, tensor = candidate_tensor(series, EmbeddingParams(m=3, d=100), grid)
+        sets = neighbor_sets(tensor)
+        r_eff = reliable_conditioning_size(pi)
+        # the rows as built with one conditioning set per candidate
+        want = []
+        for m in range(sets.n_channels):
+            for cand in sets.parents[m]:
+                p_min = minimal_conditioning_set(sets, m, cand.channel, r_max=r_eff)
+                _, eps = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta=0.15)
+                want.append(Evidence(cand.channel, m, cand.delay, cand.ce, p_min, eps))
+
+        names = ("epsilon_test", "conditional_entropy_given_set", "minimal_conditioning_set")
+        calls = {name: [] for name in names}
+        for name, log in calls.items():
+            def spy(*args, _fn=getattr(causal, name), _log=log, **kwargs):
+                _log.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(causal, name, spy)
+        rows = prune_tensor(pi, tensor, delta=0.15)
+
+        pairs = {(r.target, r.source) for r in rows}
+        assert len(pairs) < len(rows)
+        assert rows == want
+        assert len(calls["epsilon_test"]) == len(rows)
+        assert len(calls["conditional_entropy_given_set"]) == 2 * len(rows)
+        assert sorted((args[1], args[2]) for args in calls["minimal_conditioning_set"]) == sorted(pairs)

@@ -1,6 +1,7 @@
 """Entropy estimators against independent brute-force oracles."""
 
 import math
+import warnings
 from math import log2
 
 import numpy as np
@@ -197,6 +198,52 @@ class TestConditionalEntropyGivenSet:
         cond = ConditioningSet([(1, 3)])
         with pytest.raises(ValueError):
             conditional_entropy_given_set(pi, 0, cond, t_start=2)
+
+
+class TestSymbolLayout:
+    """Results do not depend on the memory order of the symbol matrix."""
+
+    @pytest.mark.parametrize(
+        "m, members",
+        [(3, [(1, 2), (2, 5)]), (5, [(1, 1), (2, 2), (3, 4)])],
+        ids=["dense", "sparse"],
+    )
+    def test_c_ordered_matrix_matches_build_moptn(self, rng, m, members, monkeypatch):
+        calls = []
+        sparse = entropy._conditional_entropy_sparse
+
+        def spy(*args):
+            calls.append(args)
+            return sparse(*args)
+
+        monkeypatch.setattr(entropy, "_conditional_entropy_sparse", spy)
+        # noisy sines use few patterns, so joint states repeat even at m=5
+        t = np.arange(3000)[:, None]
+        data = np.sin(0.3 * t + rng.uniform(0, 6, 4)) + 0.05 * rng.standard_normal((3000, 4))
+        series = MultivariateSeries(data=data)
+        built = build_moptn(series, EmbeddingParams(m=m, d=1))
+        c_ordered = np.ascontiguousarray(built.symbols)
+        assert built.symbols.flags.f_contiguous
+        assert not c_ordered.flags.f_contiguous
+        given = PatternMatrix(symbols=c_ordered, params=built.params)
+        assert given.symbols.flags.f_contiguous
+        np.testing.assert_array_equal(given.symbols, c_ordered)
+
+        delays = DelayGrid([1, 3, 7])
+        assert (
+            ce_tensor(given, delays).values.tobytes()
+            == ce_tensor(built, delays).values.tobytes()
+        )
+        cond = ConditioningSet(members)
+        t_start = cond.max_delay
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = [conditional_entropy_given_set(pi, 0, cond) for pi in (given, built)]
+        assert len(calls) == (2 if m == 5 else 0)
+        assert got[0] == got[1]
+        want = oracle_conditional_entropy_given_set(built, 0, members, t_start)
+        assert 0.1 < want < log2(math.factorial(m))
+        assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestCETensor:
