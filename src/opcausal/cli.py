@@ -22,7 +22,7 @@ from . import __version__
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DEFAULT_R_MAX, DelayGrid
 from .errors import OpcausalError
-from .evaluate import SYSTEMS, sweep, windowed_analysis
+from .evaluate import SYSTEMS, _system, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
 from .simulate import GroundTruth, NmmConfig, add_observation_noise
 
@@ -178,9 +178,10 @@ def _nmm_config(args) -> NmmConfig | None:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     seed = args.seed
-    series, truth = SYSTEMS[args.system].simulate(
-        {"T": args.T, "c": args.c, "K": args.K}, seed, _nmm_config(args)
-    )
+    flags = {k: v for k, v in (("c", args.c), ("K", args.K)) if v is not None}
+    system = _system(args.system, flags)
+    cell = {**system.reads, "T": args.T, **flags}
+    series, truth = system.simulate(cell, seed, _nmm_config(args))
     if args.noise_level:
         series = add_observation_noise(series, args.noise_level, seed + 1)
     write_series_csv(series, out.with_suffix(".csv"))
@@ -190,10 +191,8 @@ def cmd_simulate(args) -> int:
         {
             "command": "simulate",
             "system": args.system,
-            "T": args.T,
+            **cell,
             "seed": seed,
-            "c": args.c,
-            "K": args.K,
             "noise_level": args.noise_level,
             "nmm_config": args.nmm_config,
             "sample_rate": series.sample_rate,
@@ -327,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--system", required=True, choices=sorted(SYSTEMS))
     p_sim.add_argument("--T", type=int, default=10_000, help="samples to keep")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--c", type=float, default=0.6, help="Lorenz coupling strength")
-    p_sim.add_argument("--K", type=float, default=5.0, help="nmm connection density, percent")
+    p_sim.add_argument("--c", type=float, help="Lorenz coupling strength (default 0.6)")
+    p_sim.add_argument("--K", type=float, help="nmm connection density, percent (default 5)")
     p_sim.add_argument("--noise-level", type=float, default=0.0)
     p_sim.add_argument("--nmm-config", help="JSON file of neural-mass parameters")
     p_sim.add_argument("--out", required=True, help="output path prefix")

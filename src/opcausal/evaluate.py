@@ -142,12 +142,12 @@ def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -
 class System:
     """What the harness knows of one benchmark system.
 
-    `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`;
-    `delays(fs)` is the default delay grid at the sample rate left after
+    `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`, each
+    filled in with its default there when the cell omits it; `delays(fs)` is the default delay grid at the sample rate left after
     decimation. The rest are the cell defaults for the pipeline.
     """
 
-    reads: tuple[str, ...]
+    reads: dict[str, float]
     simulate: Callable[
         [dict[str, Any], int, NmmConfig | None], tuple[MultivariateSeries, GroundTruth]
     ]
@@ -168,8 +168,8 @@ def _ten_to_hundred_ms(fs: float) -> range:
 
 SYSTEMS: dict[str, System] = {
     "ar": System(
-        reads=("T",),
-        simulate=lambda cell, seed, _: simulate_ar(int(cell.get("T", 10_000)), seed),
+        reads={"T": 10_000},
+        simulate=lambda cell, seed, _: simulate_ar(int(cell["T"]), seed),
         delays=_first_ten_samples,
         decimate=1,
         d=100,
@@ -177,9 +177,9 @@ SYSTEMS: dict[str, System] = {
         one_delay_per_pair=False,
     ),
     "lorenz": System(
-        reads=("T", "c"),
+        reads={"T": 10_000, "c": 0.6},
         simulate=lambda cell, seed, _: simulate_lorenz_chain(
-            int(cell.get("T", 10_000)), c=float(cell.get("c", 0.6)), seed=seed
+            int(cell["T"]), c=float(cell["c"]), seed=seed
         ),
         delays=_first_ten_samples,
         decimate=1,
@@ -191,11 +191,11 @@ SYSTEMS: dict[str, System] = {
     # raw rate the 3-sample patterns are far shorter than the kernel and the
     # estimator cannot separate direct from shared drive.
     "nmm": System(
-        reads=("T", "K"),
+        reads={"T": 10_000, "K": 5.0},
         simulate=lambda cell, seed, cfg: simulate_nmm(
             reproduction_nmm_config() if cfg is None else cfg,
-            float(cell.get("K", 5.0)),
-            int(cell.get("T", 10_000)),
+            float(cell["K"]),
+            int(cell["T"]),
             seed,
         ),
         delays=_ten_to_hundred_ms,
@@ -234,7 +234,7 @@ def run_realization(
     A cell key that no part of the pipeline reads raises ValueError.
     """
     spec = _system(system, cell)
-    series, truth = spec.simulate(cell, seed, nmm_config)
+    series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
     noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
     factor = int(cell.get("decimate", spec.decimate))
     if factor > 1:

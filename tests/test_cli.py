@@ -228,6 +228,31 @@ class TestCommands:
         assert "reads no cell key K" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "system, flag", [("ar", "--c"), ("ar", "--K"), ("lorenz", "--K"), ("nmm", "--c")]
+    )
+    def test_simulate_flag_the_system_ignores_is_an_error(self, tmp_path, capsys, system, flag):
+        out = tmp_path / "run"
+        rc = main(["simulate", "--system", system, "--T", "500", flag, "1", "--out", str(out)])
+        assert rc == 1
+        assert f"reads no cell key {flag[2:]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, recorded",
+        [
+            (["--system", "ar"], {"T": 300}),
+            (["--system", "lorenz"], {"T": 300, "c": 0.6}),
+            (["--system", "lorenz", "--c", "0"], {"T": 300, "c": 0.0}),
+            (["--system", "nmm", "--K", "10"], {"T": 300, "K": 10.0}),
+        ],
+    )
+    def test_simulate_manifest_records_the_keys_the_system_reads(self, tmp_path, argv, recorded):
+        out = tmp_path / "run"
+        assert main(["simulate", *argv, "--T", "300", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert {k: manifest[k] for k in ("T", "c", "K") if k in manifest} == recorded
+
     def test_sweep_needs_an_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--system", "ar", "--out", str(tmp_path / "s")])
         assert rc == 1
