@@ -228,7 +228,9 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
 
 def _onehot(rows: np.ndarray, f: int) -> np.ndarray:
     """float32 one-hot rows x N*f matrix of a block of symbol rows."""
-    return (rows[:, :, None] == np.arange(f)).reshape(len(rows), -1).astype(np.float32)
+    # C order, whatever the rows' layout, so the reshape needs no copy
+    onehot = np.equal(rows[:, :, None], np.arange(f), order="C")
+    return onehot.reshape(len(rows), -1).astype(np.float32)
 
 
 def threshold(tensor: CETensor, lam: float) -> CETensor:
