@@ -140,8 +140,9 @@ def _conditional_entropy_from_counts(counts: np.ndarray):
         raise DegenerateSample("no samples to estimate entropy from")
     joint = counts / total
     row = joint.sum(axis=-1, keepdims=True)
-    terms = np.divide(joint, row, out=np.zeros_like(joint), where=joint > 0)
-    np.log2(terms, out=terms, where=terms > 0)
+    # an empty cell keeps 1.0, whose log2 times its 0 joint is +0.0
+    terms = np.divide(joint, row, out=np.ones_like(joint), where=joint > 0)
+    np.log2(terms, out=terms)
     terms *= joint
     h = -terms.reshape(*counts.shape[:-2], -1).sum(axis=-1)
     return float(h) if counts.ndim == 2 else h

@@ -142,9 +142,9 @@ def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -
 class System:
     """What the harness knows of one benchmark system.
 
-    `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`, each
-    filled in with its default there when the cell omits it; `delays(fs)` is the default delay grid at the sample rate left after
-    decimation. The rest are the cell defaults for the pipeline.
+    `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`, which
+    holds their defaults; `delays(fs)` is the default delay grid at the sample
+    rate left after decimation. The rest are the cell defaults for the pipeline.
     """
 
     reads: dict[str, float]

@@ -302,4 +302,5 @@ class TestPruneWorkCounts:
         assert rows == want
         assert len(calls["epsilon_test"]) == len(rows)
         assert len(calls["conditional_entropy_given_set"]) == 2 * len(rows)
-        assert sorted((args[1], args[2]) for args in calls["minimal_conditioning_set"]) == sorted(pairs)
+        set_calls = [(args[1], args[2]) for args in calls["minimal_conditioning_set"]]
+        assert sorted(set_calls) == sorted(pairs)
