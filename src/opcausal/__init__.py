@@ -7,12 +7,10 @@ __version__ = "0.1.0"
 from .causal import (
     CausalNetwork,
     Edge,
-    NeighborSets,
     bivariate_network,
     epsilon_test,
     infer_network,
     minimal_conditioning_set,
-    neighbor_sets,
 )
 from .entropy import (
     CETensor,
@@ -56,7 +54,6 @@ __all__ = [
     "GroundTruth",
     "Metrics",
     "MultivariateSeries",
-    "NeighborSets",
     "NmmConfig",
     "PatternMatrix",
     "add_observation_noise",
@@ -74,7 +71,6 @@ __all__ = [
     "lagged_joint_counts",
     "metrics",
     "minimal_conditioning_set",
-    "neighbor_sets",
     "reproduction_nmm_config",
     "score",
     "simulate_ar",

@@ -31,28 +31,6 @@ from .ordinal import EmbeddingParams, MultivariateSeries, PatternMatrix, build_m
 
 
 @dataclass(frozen=True)
-class Neighbor:
-    """One directed candidate link endpoint: channel, lag, and its CE."""
-
-    channel: int
-    delay: int
-    ce: float
-
-
-@dataclass
-class NeighborSets:
-    """Per-node parents and children extracted from a thresholded tensor.
-
-    parents[m] lists (source, delay, ce) with source -> m; children[n] is the
-    transposed view.
-    """
-
-    parents: dict[int, list[Neighbor]]
-    children: dict[int, list[Neighbor]]
-    n_channels: int
-
-
-@dataclass(frozen=True)
 class Evidence:
     """One candidate link and its epsilon test; any delta <= epsilon keeps it.
 
@@ -92,56 +70,45 @@ class CausalNetwork:
         return {(e.source, e.target) for e in self.edges}
 
 
-def neighbor_sets(tensor: CETensor) -> NeighborSets:
-    """Collect every sub-threshold (source, target, delay) candidate."""
-    if not tensor.thresholded:
-        raise ValueError("neighbor_sets requires a thresholded tensor")
-    n = tensor.n_channels
-    parents: dict[int, list[Neighbor]] = {m: [] for m in range(n)}
-    children: dict[int, list[Neighbor]] = {m: [] for m in range(n)}
-    targets, sources, lags = np.nonzero(tensor.values < tensor.h_max)
-    for tgt, src, j in zip(targets, sources, lags):
-        tau = tensor.delays.delays[j]
-        ce = float(tensor.values[tgt, src, j])
-        parents[int(tgt)].append(Neighbor(int(src), tau, ce))
-        children[int(src)].append(Neighbor(int(tgt), tau, ce))
-    return NeighborSets(parents=parents, children=children, n_channels=n)
+def _candidate_links(tensor: CETensor):
+    """(target, source, delay, ce) of every candidate, by target, source, delay."""
+    for m, n, j in zip(*np.nonzero(tensor.candidates())):
+        yield int(m), int(n), tensor.delays.delays[j], float(tensor.values[m, n, j])
 
 
 def minimal_conditioning_set(
-    sets: NeighborSets,
-    m: int,
-    n: int,
-    r_max: int = DEFAULT_R_MAX,
-    fallback_delay: int = 1,
+    tensor: CETensor, m: int, n: int, r_max: int = DEFAULT_R_MAX
 ) -> ConditioningSet:
     """Conditioning set for testing the candidate link n -> m.
 
     Primary choice: parents of m whose channel is also a child of n (other
     than m itself). Falls back to the common parents of m and n, and finally
-    to the target's own past at `fallback_delay`. Sets are node-based: a
-    channel linked at several delays contributes only its most dominant
-    (lowest-CE) delay. Capped at the r_max members with the lowest CE, equal
-    CEs broken by (channel, delay) order.
+    to the target's own past at the grid's smallest positive delay (1 on a
+    grid of lag 0 alone). Sets are node-based: a channel linked at several
+    delays contributes only its most dominant (lowest-CE, then earliest)
+    delay. Members are ordered by (CE, delay, channel); capped at the r_max
+    members with the lowest CE, equal CEs broken by (channel, delay) order.
     """
-    if not any(p.channel == n for p in sets.parents[m]):
+    linked = tensor.candidates().any(axis=2)
+    if not linked[m, n]:
         raise CandidateNotALink(f"{n} -> {m} is not a candidate link")
+    members = linked[m] & linked[:, n]
+    members[m] = False
+    if not members.any():
+        members = linked[m] & linked[n]
+        members[m] = False
+    if not members.any():
+        return ConditioningSet([(m, next((t for t in tensor.delays if t > 0), 1))])
 
-    children_of_n = {c.channel for c in sets.children[n]} - {m}
-    members = [p for p in sets.parents[m] if p.channel in children_of_n]
-    if not members:
-        parents_of_n = {p.channel for p in sets.parents[n]} - {m}
-        members = [p for p in sets.parents[m] if p.channel in parents_of_n]
-    if not members:
-        return ConditioningSet([(m, fallback_delay)])
-
-    best_per_channel: dict[int, Neighbor] = {}
-    for p in sorted(members, key=lambda p: (p.ce, p.delay)):
-        best_per_channel.setdefault(p.channel, p)
-    members = list(best_per_channel.values())
-    if len(members) > r_max:
-        members = sorted(members, key=lambda p: (p.ce, p.channel, p.delay))[:r_max]
-    return ConditioningSet([(p.channel, p.delay) for p in members])
+    channels = np.flatnonzero(members)
+    lags = tensor.values[m, channels].argmin(axis=1)
+    best = sorted(
+        (float(tensor.values[m, c, j]), tensor.delays.delays[j], int(c))
+        for c, j in zip(channels, lags)
+    )
+    if len(best) > r_max:
+        best = sorted(best, key=lambda b: (b[0], b[2], b[1]))[:r_max]
+    return ConditioningSet([(c, tau) for _, tau, c in best])
 
 
 def epsilon_test(
@@ -217,8 +184,7 @@ def bivariate_network(
 ) -> CausalNetwork:
     """Network from thresholding alone; indirect links are not removed."""
     _, tensor = candidate_tensor(series, params, delays, lam)
-    parents = neighbor_sets(tensor).parents
-    links = [(p.channel, m, p.delay, p.ce) for m in parents for p in parents[m]]
+    links = [(n, m, tau, ce) for m, n, tau, ce in _candidate_links(tensor)]
     return CausalNetwork(
         edges=_edges(links, tensor.h_max),
         h_max=tensor.h_max,
@@ -256,18 +222,14 @@ def prune_tensor(
     order, and not on delta either: delta only sets each epsilon_test's keep
     flag, `epsilon >= delta`. Rows are ordered by target, source and delay.
     """
-    sets = neighbor_sets(tensor)
     r_eff = reliable_conditioning_size(pi, r_max)
+    p_mins: dict[tuple[int, int], ConditioningSet] = {}
     rows = []
-    for m in range(sets.n_channels):
-        p_mins = {
-            n: minimal_conditioning_set(sets, m, n, r_eff, tensor.delays.min_delay)
-            for n in dict.fromkeys(cand.channel for cand in sets.parents[m])
-        }
-        for cand in sets.parents[m]:
-            p_min = p_mins[cand.channel]
-            _, eps = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta, r_max)
-            rows.append(Evidence(cand.channel, m, cand.delay, cand.ce, p_min, eps))
+    for m, n, tau, ce in _candidate_links(tensor):
+        if (m, n) not in p_mins:
+            p_mins[m, n] = minimal_conditioning_set(tensor, m, n, r_eff)
+        _, eps = epsilon_test(pi, m, n, tau, p_mins[m, n], delta, r_max)
+        rows.append(Evidence(n, m, tau, ce, p_mins[m, n], eps))
     return rows
 
 

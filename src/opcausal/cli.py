@@ -128,10 +128,14 @@ def parse_delays(spec: str, sample_rate: float | None, in_ms: bool) -> DelayGrid
     if "-" in spec and not spec.startswith("-"):
         body, _, step_s = spec.partition(":")
         lo_s, _, hi_s = body.partition("-")
-        step = float(step_s) if step_s else 1.0
-        values = list(np.arange(float(lo_s), float(hi_s) + step / 2, step))
+        lo, hi, step = float(lo_s), float(hi_s), float(step_s or 1.0)
+        if not (np.isfinite([lo, hi, step]).all() and step > 0):
+            raise OpcausalError(f"delay range {spec!r} needs finite bounds and a positive step")
+        values = list(np.arange(lo, hi + step / 2, step))
     else:
         values = [float(v) for v in spec.split(",")]
+        if not np.isfinite(values).all():
+            raise OpcausalError(f"delay specification {spec!r} is not finite")
     if in_ms:
         if not sample_rate:
             raise OpcausalError("delays in ms require --sample-rate")

@@ -84,6 +84,12 @@ class CETensor:
     def n_channels(self) -> int:
         return self.values.shape[0]
 
+    def candidates(self) -> np.ndarray:
+        """Mask of the candidate links: the entries below h_max once thresholded."""
+        if not self.thresholded:
+            raise ValueError("candidate links need a thresholded tensor")
+        return self.values < self.h_max
+
     def copy(self) -> "CETensor":
         return replace(self, values=self.values.copy())
 

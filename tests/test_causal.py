@@ -13,74 +13,78 @@ from opcausal import (
     epsilon_test,
     infer_network,
     minimal_conditioning_set,
-    neighbor_sets,
 )
 from opcausal.causal import (
     Evidence,
-    Neighbor,
-    NeighborSets,
     candidate_tensor,
     lowest_ce_per_pair,
     prune_tensor,
     reliable_conditioning_size,
 )
+from opcausal.entropy import CETensor
 from opcausal.errors import CandidateNotALink, DegenerateSample
 from opcausal.ordinal import PatternMatrix
 from opcausal.simulate import simulate_ar
 
 
-def make_sets(parents, n_channels):
-    """NeighborSets from {target: [(source, delay, ce), ...]}."""
-    p = {m: [] for m in range(n_channels)}
-    c = {m: [] for m in range(n_channels)}
+def make_tensor(parents, n_channels, delays=range(1, 11)):
+    """Thresholded m=3 tensor from {target: [(source, delay, ce), ...]}."""
+    grid = DelayGrid(delays)
+    tensor = CETensor(np.zeros((n_channels, n_channels, len(grid))), grid, 6, True)
+    tensor.values[:] = tensor.h_max
     for tgt, entries in parents.items():
         for src, delay, ce in entries:
-            p[tgt].append(Neighbor(src, delay, ce))
-            c[src].append(Neighbor(tgt, delay, ce))
-    return NeighborSets(parents=p, children=c, n_channels=n_channels)
+            tensor.values[tgt, src, grid.delays.index(delay)] = ce
+    return tensor
 
 
 class TestMinimalConditioningSet:
     def test_chain_conditions_on_mediator(self):
         # 0 -> 1 -> 2 with a spurious candidate 0 -> 2
-        sets = make_sets(
+        tensor = make_tensor(
             {1: [(0, 2, 1.0)], 2: [(1, 3, 1.0), (0, 5, 1.5)]}, n_channels=3
         )
-        p_min = minimal_conditioning_set(sets, 2, 0)
+        p_min = minimal_conditioning_set(tensor, 2, 0)
         assert p_min.members == ((1, 3),)
 
     def test_fork_conditions_on_common_parent(self):
         # 0 -> 1 and 0 -> 2 with a spurious candidate 1 -> 2; node 1 has no
         # children besides 2, so the common parent 0 must be used.
-        sets = make_sets(
+        tensor = make_tensor(
             {1: [(0, 2, 1.0)], 2: [(0, 5, 1.0), (1, 3, 1.2)]}, n_channels=3
         )
-        p_min = minimal_conditioning_set(sets, 2, 1)
+        p_min = minimal_conditioning_set(tensor, 2, 1)
         assert p_min.members == ((0, 5),)
 
     def test_isolated_pair_falls_back_to_own_past(self):
-        sets = make_sets({1: [(0, 4, 1.0)]}, n_channels=2)
-        p_min = minimal_conditioning_set(sets, 1, 0, fallback_delay=2)
+        tensor = make_tensor({1: [(0, 4, 1.0)]}, n_channels=2, delays=range(2, 11))
+        p_min = minimal_conditioning_set(tensor, 1, 0)
         assert p_min.members == ((1, 2),)
 
+    @pytest.mark.parametrize("delays, past", [([0, 2, 4], 2), ([0], 1)])
+    def test_fallback_skips_lag_zero(self, delays, past):
+        # the target's present symbol would explain itself away
+        tensor = make_tensor({1: [(0, delays[-1], 1.0)]}, n_channels=2, delays=delays)
+        assert minimal_conditioning_set(tensor, 1, 0).members == ((1, past),)
+
     def test_non_candidate_raises(self):
-        sets = make_sets({1: [(0, 4, 1.0)]}, n_channels=3)
+        tensor = make_tensor({1: [(0, 4, 1.0)]}, n_channels=3)
         with pytest.raises(CandidateNotALink):
-            minimal_conditioning_set(sets, 1, 2)
+            minimal_conditioning_set(tensor, 1, 2)
 
     def test_channel_collapsed_to_lowest_ce_delay(self):
-        sets = make_sets(
+        tensor = make_tensor(
             {
                 2: [(1, 3, 1.4), (1, 6, 0.9), (0, 5, 1.5)],
                 1: [(0, 2, 1.0)],
             },
             n_channels=3,
         )
-        p_min = minimal_conditioning_set(sets, 2, 0)
+        p_min = minimal_conditioning_set(tensor, 2, 0)
         assert p_min.members == ((1, 6),)
 
     def test_capped_at_r_max_lowest_ce(self):
-        sets = make_sets(
+        tensor = make_tensor(
             {
                 4: [(1, 1, 0.5), (2, 1, 0.7), (3, 1, 0.9), (0, 1, 1.0)],
                 1: [(0, 9, 1.0)],
@@ -89,7 +93,7 @@ class TestMinimalConditioningSet:
             },
             n_channels=5,
         )
-        p_min = minimal_conditioning_set(sets, 4, 0, r_max=2)
+        p_min = minimal_conditioning_set(tensor, 4, 0, r_max=2)
         assert p_min.members == ((1, 1), (2, 1))
 
 
@@ -132,13 +136,17 @@ class TestReliableConditioningSize:
 
 
 class TestPipeline:
-    def test_neighbor_sets_requires_threshold(self, random_series):
+    def test_candidates_require_threshold(self, random_series):
         from opcausal import build_moptn, ce_tensor
 
         pi = build_moptn(random_series, EmbeddingParams(m=3, d=2))
         raw = ce_tensor(pi, DelayGrid([1, 2]))
-        with pytest.raises(ValueError):
-            neighbor_sets(raw)
+        with pytest.raises(ValueError, match="thresholded"):
+            raw.candidates()
+        with pytest.raises(ValueError, match="thresholded"):
+            minimal_conditioning_set(raw, 0, 1)
+        with pytest.raises(ValueError, match="thresholded"):
+            prune_tensor(pi, raw, delta=0.15)
 
     def test_chain_recovered_and_indirect_pruned(self):
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
@@ -150,6 +158,18 @@ class TestPipeline:
         assert (0, 2) in bi.edge_pairs()
         assert (0, 2) not in full.edge_pairs()
         assert truth.pairs() <= full.edge_pairs()
+
+    def test_lag_zero_on_the_grid_keeps_the_link(self):
+        # no mediator and no common parent: the fallback conditions on the
+        # target's past, never its present, so epsilon is not forced to 0
+        series, _ = simulate_ar(10_000, seed=5, couplings={(0, 1, 2): 1.5}, n_channels=2)
+        params = EmbeddingParams(m=3, d=100)
+        pi, tensor = candidate_tensor(series, params, DelayGrid(range(0, 11)))
+        rows = prune_tensor(pi, tensor, delta=0.15)
+        assert rows and all(r.conditioning.members == ((1, 1),) for r in rows)
+        for grid in (DelayGrid(range(1, 11)), DelayGrid(range(0, 11))):
+            net = infer_network(series, params, grid, delta=0.15)
+            assert sorted(net.edge_triples()) == [(0, 1, 2)]
 
     def test_prune_decisions_are_batch_applied(self):
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
@@ -277,15 +297,14 @@ class TestPruneWorkCounts:
         series, _ = simulate_ar(10_000, seed=1)
         grid = DelayGrid(range(1, 11))
         pi, tensor = candidate_tensor(series, EmbeddingParams(m=3, d=100), grid)
-        sets = neighbor_sets(tensor)
         r_eff = reliable_conditioning_size(pi)
         # the rows as built with one conditioning set per candidate
         want = []
-        for m in range(sets.n_channels):
-            for cand in sets.parents[m]:
-                p_min = minimal_conditioning_set(sets, m, cand.channel, r_max=r_eff)
-                _, eps = epsilon_test(pi, m, cand.channel, cand.delay, p_min, delta=0.15)
-                want.append(Evidence(cand.channel, m, cand.delay, cand.ce, p_min, eps))
+        for m, n, j in zip(*np.nonzero(tensor.candidates())):
+            m, n, tau = int(m), int(n), grid.delays[j]
+            p_min = minimal_conditioning_set(tensor, m, n, r_max=r_eff)
+            _, eps = epsilon_test(pi, m, n, tau, p_min, delta=0.15)
+            want.append(Evidence(n, m, tau, float(tensor.values[m, n, j]), p_min, eps))
 
         names = ("epsilon_test", "conditional_entropy_given_set", "minimal_conditioning_set")
         calls = {name: [] for name in names}

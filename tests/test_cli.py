@@ -99,6 +99,13 @@ class TestParseDelays:
         with pytest.raises(OpcausalError):
             parse_delays("15-25:10", 100.0, True)
 
+    @pytest.mark.parametrize(
+        "spec", ["1-10:0", "1-10:-1", "1-10:nan", "1e400", "1-1e400", "inf-5", "nan,2"]
+    )
+    def test_zero_step_and_non_finite_bounds_rejected(self, spec):
+        with pytest.raises(OpcausalError):
+            parse_delays(spec, None, False)
+
 
 class TestCommands:
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
@@ -190,6 +197,51 @@ class TestCommands:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "net.json").exists()
+
+    @pytest.mark.parametrize("spec", ["1-10:0", "1e400"])
+    def test_bad_delays_exit_with_an_error_line(self, tmp_path, capsys, spec):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        net = tmp_path / "net.json"
+        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
+        rc = main([*argv, "--delays", spec])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not net.exists()
+
+    def test_windowed_writes_normalized_strengths(self, tmp_path):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "6000", "--seed", "1", "--out", str(out)])
+        windows = tmp_path / "windows.csv"
+        argv = ["windowed", "--input", str(out.with_suffix(".csv")), "--out", str(windows)]
+        rc = main([*argv, "--sample-rate", "200", "--window-s", "20", "--delays", "2-10:2"])
+        assert rc == 0
+        lines = windows.read_text().splitlines()
+        assert lines[0] == "window_mid_s,source,target,delay_ms,strength_normalized"
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows
+        delays = {float(r[3]) * 200 / 1000 for r in rows}
+        assert delays <= {2.0, 4.0, 6.0, 8.0, 10.0}
+        strengths = [float(r[4]) for r in rows]
+        assert all(0.0 <= s <= 1.0 for s in strengths)
+        assert max(strengths) == 1.0
+        manifest = json.loads((tmp_path / "windows.manifest.json").read_text())
+        assert set(manifest) == {
+            "command", "input", "window_s", "overlap", "sample_rate", "M", "d",
+            "lambda", "delta", "r_max", "delays", "tool_version",
+        }
+        assert manifest["command"] == "windowed" and manifest["sample_rate"] == 200.0
+
+    def test_windowed_needs_a_sample_rate(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        windows = tmp_path / "windows.csv"
+        rc = main(["windowed", "--input", str(out.with_suffix(".csv")), "--out", str(windows)])
+        assert rc == 1
+        assert "sample rate" in capsys.readouterr().err
+        assert not windows.exists()
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep"

@@ -16,10 +16,8 @@ from opcausal.causal import (
     candidate_tensor,
     epsilon_test,
     minimal_conditioning_set,
-    neighbor_sets,
     reliable_conditioning_size,
 )
-from opcausal.errors import CandidateNotALink
 from opcausal.simulate import simulate_lorenz_chain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,18 +38,15 @@ def test_script_imports(name):
 def per_pair_epsilon(series, params, grid, delta, pairs):
     """Epsilon of each pair at its lowest-CE lag, one epsilon_test per pair."""
     pi, tensor = candidate_tensor(series, params, grid)
-    sets = neighbor_sets(tensor)
     r = reliable_conditioning_size(pi)
+    candidates = tensor.candidates()
     out = {}
     for src, tgt in pairs:
-        tau = grid.delays[int(np.argmin(tensor.values[tgt, src, :]))]
-        try:
-            p_min = minimal_conditioning_set(
-                sets, tgt, src, r_max=r, fallback_delay=grid.min_delay
-            )
-        except CandidateNotALink:
+        if not candidates[tgt, src].any():
             out[(src, tgt)] = None
             continue
+        tau = grid.delays[int(np.argmin(tensor.values[tgt, src, :]))]
+        p_min = minimal_conditioning_set(tensor, tgt, src, r_max=r)
         out[(src, tgt)] = epsilon_test(pi, tgt, src, tau, p_min, delta, r_max=r)[1]
     return out
 
