@@ -19,7 +19,6 @@ from .entropy import (
     ce_tensor,
     co_occurrence_entropy,
     conditional_entropy_given_set,
-    lagged_joint_counts,
     threshold,
 )
 from .evaluate import ConfusionCounts, Metrics, metrics, score, sweep, windowed_analysis
@@ -68,7 +67,6 @@ __all__ = [
     "encode_series",
     "epsilon_test",
     "infer_network",
-    "lagged_joint_counts",
     "metrics",
     "minimal_conditioning_set",
     "reproduction_nmm_config",

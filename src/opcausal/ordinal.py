@@ -88,6 +88,12 @@ def decimate(series: MultivariateSeries, factor: int) -> MultivariateSeries:
     )
 
 
+def _check_symbols(symbols: np.ndarray, f: int) -> None:
+    """Raise ValueError unless every symbol is an integer in [0, f)."""
+    if symbols.dtype.kind not in "iu" or np.any((symbols < 0) | (symbols >= f)):
+        raise ValueError(f"symbols must be integers in [0, {f})")
+
+
 @dataclass
 class PatternMatrix:
     """T' x N ordinal symbol indices in [0, m! - 1], each channel contiguous."""
@@ -97,6 +103,7 @@ class PatternMatrix:
 
     def __post_init__(self):
         self.symbols = np.asfortranarray(self.symbols)
+        _check_symbols(self.symbols, self.params.n_patterns)
 
     @property
     def n_times(self) -> int:
@@ -109,9 +116,6 @@ class PatternMatrix:
     @property
     def n_patterns(self) -> int:
         return self.params.n_patterns
-
-    def channel(self, n: int) -> np.ndarray:
-        return self.symbols[:, n]
 
 
 def embed(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:

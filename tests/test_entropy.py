@@ -1,6 +1,7 @@
 """Entropy estimators against independent brute-force oracles."""
 
 import math
+import tracemalloc
 import warnings
 from math import log2
 
@@ -19,7 +20,6 @@ from opcausal import (
     co_occurrence_entropy,
     conditional_entropy_given_set,
     epsilon_test,
-    lagged_joint_counts,
     threshold,
 )
 from opcausal import entropy
@@ -102,22 +102,6 @@ class TestCoOccurrenceOracle:
     def test_lag_too_large(self):
         with pytest.raises(LagTooLarge):
             co_occurrence_entropy(np.zeros(5, dtype=int), np.zeros(5, dtype=int), 5, 6)
-
-
-class TestLaggedJointCounts:
-    def test_counts_sum_to_pair_count(self, rng):
-        src = rng.integers(0, 6, size=100)
-        dst = rng.integers(0, 6, size=100)
-        counts = lagged_joint_counts(src, dst, 7, 6)
-        assert counts.sum() == 93
-
-    def test_known_small_case(self):
-        src = np.array([0, 1, 0, 1])
-        dst = np.array([2, 3, 2, 3])
-        counts = lagged_joint_counts(src, dst, 1, 6)
-        assert counts[0, 3] == 2
-        assert counts[1, 2] == 1
-        assert counts.sum() == 3
 
 
 class TestConditionalEntropyGivenSet:
@@ -263,13 +247,14 @@ class TestCETensor:
     def test_matches_pairwise_calls(self, random_series):
         pi = build_moptn(random_series, EmbeddingParams(m=3, d=2))
         t = ce_tensor(pi, DelayGrid([2]))
-        want = co_occurrence_entropy(pi.channel(1), pi.channel(0), 2, 6)
+        want = co_occurrence_entropy(pi.symbols[:, 1], pi.symbols[:, 0], 2, 6)
         assert t.values[0, 1, 0] == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_every_entry_equals_pairwise_estimate(self, rng, m):
-        # m <= 3 counts by one-hot products over row blocks, m = 4 pair by
-        # pair; T' spans several blocks and is not a multiple of their size
+        # m <= 3 counts by one-hot products over row blocks, m >= 4 pair by
+        # pair with dense bincounts; T' spans several blocks and is not a
+        # multiple of their size
         f = math.factorial(m)
         n_times = 2 * entropy._ROW_BLOCK + 37
         pi = PatternMatrix(
@@ -284,8 +269,56 @@ class TestCETensor:
                     if tgt == src:
                         assert t.values[tgt, src, j] == log2(f)
                         continue
-                    want = co_occurrence_entropy(pi.channel(src), pi.channel(tgt), tau, f)
+                    want = co_occurrence_entropy(pi.symbols[:, src], pi.symbols[:, tgt], tau, f)
                     assert t.values[tgt, src, j] == want
+
+    def test_order_7_counts_sparse_pairs_in_little_memory(self, rng):
+        # 5040^2 joint bins per pair: a dense count would hold 203 MB of
+        # int64 per pair, so the pairs go through the unique-count estimator
+        pi = PatternMatrix(
+            symbols=rng.integers(0, 5040, size=(3000, 3)),
+            params=EmbeddingParams(m=7, d=1),
+        )
+        delays = DelayGrid([1, 2])
+        tracemalloc.start()
+        try:
+            t = ce_tensor(pi, delays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        for j, tau in enumerate(delays):
+            for src in range(3):
+                for tgt in range(3):
+                    if tgt != src:
+                        want = oracle_co_occurrence_entropy(
+                            pi.symbols[:, src], pi.symbols[:, tgt], tau, 5040
+                        )
+                        assert t.values[tgt, src, j] == pytest.approx(want, abs=1e-12)
+
+
+class TestSymbolRange:
+    """A symbol outside [0, m!) is an error, never a silently dropped count."""
+
+    @pytest.mark.parametrize("m, bad", [(3, 9), (3, -1), (4, 24), (4, -1)])
+    def test_pattern_matrix_rejects_out_of_range_symbols(self, rng, m, bad):
+        f = math.factorial(m)
+        symbols = rng.integers(0, f, size=(743, 2))
+        symbols[5, 1] = bad
+        with pytest.raises(ValueError, match=rf"symbols must be integers in \[0, {f}\)"):
+            PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+
+    def test_pattern_matrix_rejects_non_integer_symbols(self):
+        with pytest.raises(ValueError, match=r"symbols must be integers in \[0, 6\)"):
+            PatternMatrix(symbols=np.zeros((10, 2)), params=EmbeddingParams(m=3, d=1))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [6, -1, 2.5])
+    def test_co_occurrence_rejects_bad_symbols(self, rng, side, bad):
+        pair = rng.integers(0, 6, size=(2, 100)).astype(type(bad))
+        pair[side, 50] = bad
+        with pytest.raises(ValueError, match=r"symbols must be integers in \[0, 6\)"):
+            co_occurrence_entropy(pair[0], pair[1], 1, 6)
 
 
 class TestThreshold:

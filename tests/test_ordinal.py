@@ -121,8 +121,8 @@ class TestBuildMoptn:
         data = rng.standard_normal((500, 2))
         params = EmbeddingParams(m=3, d=2)
         pi = build_moptn(MultivariateSeries(data=data), params)
-        np.testing.assert_array_equal(pi.channel(0), encode_series(data[:, 0], params))
-        np.testing.assert_array_equal(pi.channel(1), encode_series(data[:, 1], params))
+        np.testing.assert_array_equal(pi.symbols[:, 0], encode_series(data[:, 0], params))
+        np.testing.assert_array_equal(pi.symbols[:, 1], encode_series(data[:, 1], params))
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
