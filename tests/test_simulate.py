@@ -15,6 +15,7 @@ from opcausal import (
     simulate_nmm,
 )
 from opcausal.errors import NonFiniteState, ParameterUnset
+from opcausal.evaluate import derive_seed
 from opcausal.ordinal import MultivariateSeries
 from opcausal.simulate import AR_COUPLINGS, GroundTruth, draw_nmm_graph
 
@@ -98,6 +99,22 @@ class TestSimulateLorenzChain:
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):
             simulate_lorenz_chain(1000, c=-1.0)
+
+    # sha256 of the output bytes at criterion 3's first two seeds (T=1e4,
+    # c=0.6), so a faster integrator must reproduce them bit for bit
+    @pytest.mark.parametrize(
+        "realization, digest",
+        [
+            (0, "67ded354c12687d10045138fae4b14d7ab5c40961fd722ed4de7cf5168e8771f"),
+            (1, "9a91fe1bf0e31669a67d8a08daf79b2658f603c7cb1dab28a60b5a7c04afb316"),
+        ],
+    )
+    def test_output_bytes_pinned(self, realization, digest):
+        cell = {"T": 10_000, "delta": 0.10, "c": 0.6, "d": 100}
+        seed = derive_seed(42, cell, realization)
+        series, _ = simulate_lorenz_chain(10_000, c=0.6, seed=seed)
+        assert series.sample_rate == 1000.0
+        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
