@@ -118,7 +118,6 @@ def epsilon_test(
     tau: int,
     p_min: ConditioningSet,
     delta: float,
-    r_max: int = DEFAULT_R_MAX,
 ) -> tuple[bool, float]:
     """Entropy drop from adding the candidate source to the conditioning set.
 
@@ -131,10 +130,8 @@ def epsilon_test(
         raise ValueError("delta must be non-negative")
     augmented = ConditioningSet(list(p_min.members) + [(n, tau)])
     t_start = max(p_min.max_delay, tau)
-    h_base = conditional_entropy_given_set(pi, m, p_min, r_max=r_max, t_start=t_start)
-    h_full = conditional_entropy_given_set(
-        pi, m, augmented, r_max=r_max + 1, t_start=t_start
-    )
+    h_base = conditional_entropy_given_set(pi, m, p_min, t_start=t_start)
+    h_full = conditional_entropy_given_set(pi, m, augmented, t_start=t_start)
     eps = h_base - h_full
     return eps >= delta, eps
 
@@ -222,15 +219,22 @@ def prune_tensor(
     order, and not on delta either: delta only sets each epsilon_test's keep
     flag, `epsilon >= delta`. Rows are ordered by target, source and delay.
     """
+    _check_r_max(r_max)
     r_eff = reliable_conditioning_size(pi, r_max)
     p_mins: dict[tuple[int, int], ConditioningSet] = {}
     rows = []
     for m, n, tau, ce in _candidate_links(tensor):
         if (m, n) not in p_mins:
             p_mins[m, n] = minimal_conditioning_set(tensor, m, n, r_eff)
-        _, eps = epsilon_test(pi, m, n, tau, p_mins[m, n], delta, r_max)
+        _, eps = epsilon_test(pi, m, n, tau, p_mins[m, n], delta)
         rows.append(Evidence(n, m, tau, ce, p_mins[m, n], eps))
     return rows
+
+
+def _check_r_max(r_max: int) -> None:
+    # every candidate is tested against at least one conditioning member
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
 
 
 def _param_snapshot(params, delays, lam, delta, r_max) -> dict[str, Any]:
@@ -259,6 +263,7 @@ def infer_network(
     delay for each directed pair, which suits systems whose coupling acts
     through a smooth response so several neighboring lags pass the tests.
     """
+    _check_r_max(r_max)
     pi, tensor = candidate_tensor(series, params, delays, lam)
     rows = prune_tensor(pi, tensor, delta, r_max)
     kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]

@@ -3,8 +3,7 @@
 Series travel as CSV (header row of channel names, one row per sample,
 17 significant digits for exact round-trips); ground truth and networks as
 JSON. Every run writes a manifest with the full configuration and seed.
-Flag values override config-file values, which override defaults. The
-OPCAUSAL_THREADS environment variable sets the default worker count.
+Flag values override config-file values, which override defaults.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -72,16 +70,16 @@ def read_series_csv(path: str | Path, sample_rate: float | None = None) -> Multi
     )
 
 
-def write_truth_json(truth: GroundTruth, path: str | Path) -> None:
-    payload = {
-        "description": truth.description,
-        "edges": [
-            {"source": s, "target": t, "delay_samples": d} for s, t, d in truth.edges
-        ],
-    }
+def _write_json(path: str | Path, payload, **options) -> None:
+    """Indented JSON and a final newline; options go to json.dump."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, **options)
         fh.write("\n")
+
+
+def write_truth_json(truth: GroundTruth, path: str | Path) -> None:
+    edges = [{"source": s, "target": t, "delay_samples": d} for s, t, d in truth.edges]
+    _write_json(path, {"description": truth.description, "edges": edges})
 
 
 def read_truth_json(path: str | Path) -> GroundTruth:
@@ -108,18 +106,11 @@ def write_network_json(
         if sample_rate:
             entry["delay_ms"] = e.delay * 1000.0 / sample_rate
         edges.append(entry)
-    payload = {"edges": edges, "params": network.params, "h_max_bits": network.h_max}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"edges": edges, "params": network.params, "h_max_bits": network.h_max})
 
 
 def write_manifest(path: str | Path, config: dict) -> None:
-    payload = dict(config)
-    payload["tool_version"] = __version__
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(path, {**config, "tool_version": __version__}, sort_keys=True, default=str)
 
 
 def parse_delays(spec: str, sample_rate: float | None, in_ms: bool) -> DelayGrid:
@@ -163,11 +154,25 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
             if k in file_cfg:
                 merged[k] = file_cfg[k]
     for k in keys:
-        attr = "lambda_" if k == "lambda" else k.replace("-", "_")
+        attr = "lambda_" if k == "lambda" else k
         flag = getattr(args, attr, None)
         if flag is not None:
             merged[k] = flag
     return merged
+
+
+def _pipeline_inputs(args):
+    """Merged config, series, embedding, delays and the pruning settings."""
+    cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
+    series = read_series_csv(args.input, sample_rate=args.sample_rate)
+    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
+    params = EmbeddingParams(m=int(cfg["M"]), d=int(cfg["d"]))
+    settings = {
+        "lam": float(cfg["lambda"]),
+        "delta": float(cfg["delta"]),
+        "r_max": int(cfg["r_max"]),
+    }
+    return cfg, series, params, delays, settings
 
 
 def _parse_list(spec: str, cast=float) -> list:
@@ -208,17 +213,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
-    series = read_series_csv(args.input, sample_rate=args.sample_rate)
-    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
-    network = infer_network(
-        series,
-        EmbeddingParams(m=int(cfg["M"]), d=int(cfg["d"])),
-        delays,
-        lam=float(cfg["lambda"]),
-        delta=float(cfg["delta"]),
-        r_max=int(cfg["r_max"]),
-    )
+    cfg, series, params, delays, settings = _pipeline_inputs(args)
+    network = infer_network(series, params, delays, **settings)
     write_network_json(network, args.out, sample_rate=args.sample_rate)
     write_manifest(
         Path(args.out).with_suffix(".manifest.json"),
@@ -255,17 +251,14 @@ def cmd_sweep(args) -> int:
                     *("" if v is None else f"{v:.6f}" for v in cell.stats.values()),
                 ]
             )
-    with open(out.with_suffix(".json"), "w") as fh:
-        json.dump(
-            {
-                "system": result.system,
-                "base_seed": result.base_seed,
-                "cells": [vars(c) for c in result.cells],
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(
+        out.with_suffix(".json"),
+        {
+            "system": result.system,
+            "base_seed": result.base_seed,
+            "cells": [vars(c) for c in result.cells],
+        },
+    )
     write_manifest(
         out.with_suffix(".manifest.json"),
         {"command": "sweep", "system": args.system, "grid": grid, "R": args.R, "seed": args.seed},
@@ -275,18 +268,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_windowed(args) -> int:
-    cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
-    series = read_series_csv(args.input, sample_rate=args.sample_rate)
-    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
+    cfg, series, params, delays, settings = _pipeline_inputs(args)
     result = windowed_analysis(
-        series,
-        window_s=args.window_s,
-        overlap=args.overlap,
-        params=EmbeddingParams(m=int(cfg["M"]), d=int(cfg["d"])),
-        delays=delays,
-        lam=float(cfg["lambda"]),
-        delta=float(cfg["delta"]),
-        r_max=int(cfg["r_max"]),
+        series, args.window_s, args.overlap, params, delays, **settings
     )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -324,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = int(os.environ.get("OPCAUSAL_THREADS", "1"))
 
     p_sim = sub.add_parser("simulate", help="generate a benchmark series + ground truth")
     p_sim.add_argument("--system", required=True, choices=sorted(SYSTEMS))
@@ -363,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--K", help="comma list")
     p_sweep.add_argument("--R", type=int, default=10, help="realizations per cell")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--threads", type=int, default=default_threads)
+    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes")
     p_sweep.add_argument("--nmm-config")
     p_sweep.add_argument("--out", required=True, help="output path prefix")
     p_sweep.set_defaults(func=cmd_sweep)

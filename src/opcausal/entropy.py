@@ -257,7 +257,6 @@ def conditional_entropy_given_set(
     pi: PatternMatrix,
     target: int,
     cond: ConditioningSet,
-    r_max: int = DEFAULT_R_MAX,
     t_start: int | None = None,
 ) -> float:
     """H(target symbol at t | conditioning symbols at their lags), in bits.
@@ -267,10 +266,6 @@ def conditional_entropy_given_set(
     t_start >= that maximum pins the window, which makes entropies for nested
     sets directly comparable.
     """
-    if len(cond) > r_max:
-        raise ConditioningTooLarge(
-            f"conditioning set has {len(cond)} members, limit is {r_max}"
-        )
     for channel, tau in cond.members:
         if not (0 <= channel < pi.n_channels):
             raise ValueError(f"conditioning channel {channel} out of range")

@@ -96,14 +96,15 @@ def _check_symbols(symbols: np.ndarray, f: int) -> None:
 
 @dataclass
 class PatternMatrix:
-    """T' x N ordinal symbol indices in [0, m! - 1], each channel contiguous."""
+    """T' x N int64 ordinal symbol indices in [0, m! - 1], each channel contiguous."""
 
     symbols: np.ndarray
     params: EmbeddingParams
 
     def __post_init__(self):
-        self.symbols = np.asfortranarray(self.symbols)
-        _check_symbols(self.symbols, self.params.n_patterns)
+        symbols = np.asarray(self.symbols)
+        _check_symbols(symbols, self.params.n_patterns)
+        self.symbols = np.asfortranarray(symbols, dtype=np.int64)
 
     @property
     def n_times(self) -> int:

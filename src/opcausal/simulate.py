@@ -109,6 +109,9 @@ def simulate_ar(
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
 LORENZ_BETA = 8.0 / 3.0
+# RK4 step, and the steps integrated and discarded before the first sample
+LORENZ_DT = 0.001
+LORENZ_TRANSIENT_STEPS = 100_000
 
 
 def _lorenz_chain_deriv(s, c):
@@ -129,10 +132,7 @@ def _lorenz_chain_deriv(s, c):
 def simulate_lorenz_chain(
     n_samples: int,
     c: float = 0.6,
-    dt: float = 0.001,
     seed: int = 0,
-    transient_steps: int = 100_000,
-    identical_start: bool = False,
 ) -> tuple[MultivariateSeries, GroundTruth]:
     """Fixed-step RK4 integration of three chained Lorenz systems.
 
@@ -142,31 +142,25 @@ def simulate_lorenz_chain(
     """
     if c < 0:
         raise ValueError("coupling strength must be non-negative")
-    if dt <= 0:
-        raise ValueError("step size must be positive")
     rng = np.random.default_rng(seed)
     state = []
     for _ in range(3):
         state += [rng.normal(0.0, 5.0), rng.normal(0.0, 5.0), 25.0 + rng.normal(0.0, 5.0)]
-    if identical_start:
-        # replicas share one initial state; the difference coupling then
-        # vanishes and the chain stays exactly synchronized
-        state = state[:3] * 3
 
     def step(s):
         k1 = _lorenz_chain_deriv(s, c)
-        s2 = [si + 0.5 * dt * ki for si, ki in zip(s, k1)]
+        s2 = [si + 0.5 * LORENZ_DT * ki for si, ki in zip(s, k1)]
         k2 = _lorenz_chain_deriv(s2, c)
-        s3 = [si + 0.5 * dt * ki for si, ki in zip(s, k2)]
+        s3 = [si + 0.5 * LORENZ_DT * ki for si, ki in zip(s, k2)]
         k3 = _lorenz_chain_deriv(s3, c)
-        s4 = [si + dt * ki for si, ki in zip(s, k3)]
+        s4 = [si + LORENZ_DT * ki for si, ki in zip(s, k3)]
         k4 = _lorenz_chain_deriv(s4, c)
         return [
-            si + dt / 6.0 * (a + 2 * b + 2 * g + e)
+            si + LORENZ_DT / 6.0 * (a + 2 * b + 2 * g + e)
             for si, a, b, g, e in zip(s, k1, k2, k3, k4)
         ]
 
-    for _ in range(transient_steps):
+    for _ in range(LORENZ_TRANSIENT_STEPS):
         state = step(state)
     out = np.empty((n_samples, 3))
     for i in range(n_samples):
@@ -182,16 +176,17 @@ def simulate_lorenz_chain(
         edges=[(0, 1, 1), (1, 2, 1)],
         description="chain of three diffusively coupled Lorenz systems",
     )
-    return MultivariateSeries(data=out, sample_rate=1.0 / dt), truth
+    return MultivariateSeries(data=out, sample_rate=1.0 / LORENZ_DT), truth
 
 
 @dataclass
 class NmmConfig:
     """Population parameters and network settings for the neural mass model.
 
-    All values are mandatory; `from_dict` raises ParameterUnset when a key is
-    missing so a partially specified file cannot silently fall back to
-    hard-coded numbers.
+    All values but n_regions are mandatory; `from_dict` raises ParameterUnset
+    when a key is missing or unknown, so a partially specified or misspelled
+    file cannot silently fall back to hard-coded numbers. Keys starting with
+    "_" are comments and are ignored.
     """
 
     g_e: float
@@ -239,6 +234,9 @@ class NmmConfig:
         if missing:
             raise ParameterUnset(f"missing neural-mass parameters: {', '.join(missing)}")
         known = {f.name for f in fields(cls)}
+        unknown = [k for k in d if k not in known and not k.startswith("_")]
+        if unknown:
+            raise ParameterUnset(f"unknown neural-mass parameters: {', '.join(unknown)}")
         return cls(**{k: v for k, v in d.items() if k in known})
 
     @classmethod

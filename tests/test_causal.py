@@ -148,6 +148,18 @@ class TestPipeline:
         with pytest.raises(ValueError, match="thresholded"):
             prune_tensor(pi, raw, delta=0.15)
 
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_r_max_below_one_is_rejected_before_any_entropy(
+        self, random_series, monkeypatch, r_max
+    ):
+        params, grid = EmbeddingParams(m=3, d=2), DelayGrid([1, 2])
+        pi, tensor = candidate_tensor(random_series, params, grid)
+        with pytest.raises(ValueError, match="r_max must be at least 1"):
+            prune_tensor(pi, tensor, delta=0.15, r_max=r_max)
+        monkeypatch.setattr(causal, "ce_tensor", None)  # computing entropies fails
+        with pytest.raises(ValueError, match="r_max must be at least 1"):
+            infer_network(random_series, params, grid, r_max=r_max)
+
     def test_chain_recovered_and_indirect_pruned(self):
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
         series, truth = simulate_ar(10_000, seed=5, couplings=couplings, n_channels=3)

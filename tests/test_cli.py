@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from opcausal import MultivariateSeries
+from opcausal import MultivariateSeries, causal
 from opcausal.cli import (
     main,
     parse_delays,
@@ -210,6 +210,17 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert not net.exists()
 
+    def test_r_max_below_one_exits_before_any_entropy(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        monkeypatch.setattr(causal, "ce_tensor", None)  # computing entropies fails
+        net = tmp_path / "net.json"
+        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
+        assert main([*argv, "--r-max", "0"]) == 1
+        assert capsys.readouterr().err == "error: r_max must be at least 1, got 0\n"
+        assert not net.exists()
+
     def test_windowed_writes_normalized_strengths(self, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--system", "ar", "--T", "6000", "--seed", "1", "--out", str(out)])
@@ -272,6 +283,17 @@ class TestCommands:
         assert list(cell["stats"]) == [
             "tpr_mean", "tpr_std", "fpr_mean", "fpr_std", "f1_mean", "f1_std"
         ]
+
+    def test_sweep_cell_without_realizations_has_blank_stats(self, tmp_path):
+        # T=50 is below simulate_ar's minimum, so every realization fails
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--system", "ar", "--delta", "0.1", "--T", "50", "--R", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert lines[1] == "ar,50,0.1,0,,,,,,"
+        (cell,) = json.loads((tmp_path / "sweep.json").read_text())["cells"]
+        assert cell["n_realizations"] == 0 and set(cell["stats"].values()) == {None}
+        assert "need at least 100 samples" in cell["errors"][0]
 
     def test_sweep_axis_the_system_ignores_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -132,13 +132,6 @@ class TestConditionalEntropyGivenSet:
         h_large = conditional_entropy_given_set(pi, 0, large, t_start=t_start)
         assert h_large <= h_small + 1e-12
 
-    def test_r_max_enforced(self, rng):
-        symbols = rng.integers(0, 6, size=(100, 5))
-        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
-        cond = ConditioningSet([(1, 1), (2, 1), (3, 1), (4, 1)])
-        with pytest.raises(ConditioningTooLarge):
-            conditional_entropy_given_set(pi, 0, cond, r_max=3)
-
     def test_sparse_path_matches_joint_histogram_oracle(self, rng, monkeypatch):
         # m=5 with three members: 120^3 states x 120 symbols is past the
         # dense bincount limit, so the unique-count estimator runs
@@ -169,7 +162,7 @@ class TestConditionalEntropyGivenSet:
         pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=8, d=1))
         members = [(1, 1), (2, 1), (3, 1), (4, 1)]
         with pytest.raises(ConditioningTooLarge, match="int64"):
-            epsilon_test(pi, 0, 5, 2, ConditioningSet(members), delta=0.1, r_max=4)
+            epsilon_test(pi, 0, 5, 2, ConditioningSet(members), delta=0.1)
         with pytest.warns(RuntimeWarning, match="unreliable"):
             got = conditional_entropy_given_set(pi, 0, ConditioningSet(members[:3]))
         assert got == pytest.approx(
@@ -311,6 +304,19 @@ class TestSymbolRange:
     def test_pattern_matrix_rejects_non_integer_symbols(self):
         with pytest.raises(ValueError, match=r"symbols must be integers in \[0, 6\)"):
             PatternMatrix(symbols=np.zeros((10, 2)), params=EmbeddingParams(m=3, d=1))
+
+    def test_pattern_matrix_holds_int64_symbols(self, rng):
+        # uint64 symbols mixed with int64 codes would become floats
+        symbols = rng.integers(0, 24, size=(743, 3))
+        params = EmbeddingParams(m=4, d=1)
+        unsigned = PatternMatrix(symbols=symbols.astype(np.uint64), params=params)
+        assert unsigned.symbols.dtype == np.int64
+        assert unsigned.symbols.flags.f_contiguous
+        delays = DelayGrid([1, 4])
+        assert (
+            ce_tensor(unsigned, delays).values.tobytes()
+            == ce_tensor(PatternMatrix(symbols=symbols, params=params), delays).values.tobytes()
+        )
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("bad", [6, -1, 2.5])

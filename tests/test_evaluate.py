@@ -192,6 +192,13 @@ class TestSweep:
             assert cell.stats["tpr_mean"] is not None
             assert not cell.errors
 
+    def test_process_pool_gives_the_serial_cells(self):
+        grid = {"delta": [0.1, 0.15], "T": [1000]}
+        pooled = sweep("ar", grid, 2, 7, max_workers=2)
+        serial = sweep("ar", grid, 2, 7)
+        assert pooled.cells == serial.cells
+        assert all(cell.n_realizations == 2 for cell in pooled.cells)
+
     def test_axis_the_system_ignores_fails_before_any_realization(self, monkeypatch):
         def run_cell(args):
             raise AssertionError("a realization ran")

@@ -1,7 +1,11 @@
-"""The README's library example runs against the package's exports."""
+"""The README's library example and its AR delta sweep run against the package."""
 
+import csv
 import re
+import shlex
 from pathlib import Path
+
+from opcausal.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +15,18 @@ def test_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out.startswith("Metrics(")
+
+
+def test_ar_delta_sweep_line_runs(tmp_path):
+    # the documented T=1e4, R=10 sweep, shortened; these F1 means are the
+    # ones the former scripts/ar_benchmark.py printed at T=2000, R=2
+    (line,) = re.findall(r"`(opcausal sweep --system ar --delta [^`]*)`", README.read_text())
+    argv = shlex.split(line)[1:]
+    for flag, value in (("--T", "2000"), ("--R", "2"), ("--out", str(tmp_path / "ar_delta"))):
+        argv[argv.index(flag) + 1] = value
+    assert main(argv) == 0
+    with open(tmp_path / "ar_delta.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["delta"] for row in rows] == ["0.02", "0.05", "0.1", "0.15", "0.2", "0.3"]
+    f1 = [f"{float(row['f1_mean']):.3f}" for row in rows]
+    assert f1 == ["0.062", "0.064", "0.643", "0.924", "0.924", "0.871"]

@@ -1,11 +1,8 @@
-"""The scripts under scripts/ import against the package, the AR sweep runs,
-and the analysis scripts report the epsilon evidence of the library's prune."""
+"""The scripts under scripts/ import against the package, and the analysis
+scripts report the epsilon evidence of the library's prune."""
 
 import argparse
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +27,7 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["ar_benchmark", "lorenz_analysis", "nmm_analysis"])
+@pytest.mark.parametrize("name", ["lorenz_analysis", "nmm_analysis"])
 def test_script_imports(name):
     assert callable(load(name).main)
 
@@ -47,7 +44,7 @@ def per_pair_epsilon(series, params, grid, delta, pairs):
             continue
         tau = grid.delays[int(np.argmin(tensor.values[tgt, src, :]))]
         p_min = minimal_conditioning_set(tensor, tgt, src, r_max=r)
-        out[(src, tgt)] = epsilon_test(pi, tgt, src, tau, p_min, delta, r_max=r)[1]
+        out[(src, tgt)] = epsilon_test(pi, tgt, src, tau, p_min, delta)[1]
     return out
 
 
@@ -88,35 +85,3 @@ def test_nmm_part2_prints_each_pair(monkeypatch, capsys):
         ["5->4", "sibling", "10", "0.421"],
         ["1->2", "unrelated", "no", "candidate"],
     ]
-
-
-def run_ar_benchmark(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ar_benchmark.py"), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-
-
-def test_ar_benchmark_runs():
-    proc = run_ar_benchmark("--T", "2000", "--R", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    rows = proc.stdout.strip().splitlines()
-    assert len(rows) == 7  # header plus one row per delta
-
-
-def test_ar_benchmark_prints_cells_without_realizations():
-    # T=50 is below simulate_ar's minimum, so every realization fails
-    proc = run_ar_benchmark("--T", "50", "--R", "1")
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.strip().splitlines()[1:]
-    assert len(rows) == 6
-    assert all(row.split()[1:] == ["-", "-", "-"] for row in rows)
-    assert "need at least 100 samples" in proc.stderr
