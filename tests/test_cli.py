@@ -1,5 +1,6 @@
 """Command-line interface: round-trips, commands, and error reporting."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,10 +15,11 @@ from opcausal.cli import (
     write_series_csv,
     write_truth_json,
 )
-from opcausal.errors import OpcausalError
-from opcausal.simulate import GroundTruth
+from opcausal.errors import NonFiniteValue, OpcausalError
+from opcausal.simulate import GroundTruth, simulate_ar
 
 
+@pytest.mark.filterwarnings("error")
 class TestSeriesCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path, rng):
         series = MultivariateSeries(
@@ -65,6 +67,74 @@ class TestSeriesCsvRoundTrip:
         path.write_text("a,b\n1.0,oops\n")
         with pytest.raises(OpcausalError, match="column 2"):
             read_series_csv(path)
+
+    def test_data_bytes_pinned(self, tmp_path):
+        series, _ = simulate_ar(300, seed=5)
+        path = tmp_path / "series.csv"
+        write_series_csv(series, path)
+        back = read_series_csv(path)
+        assert back.data.dtype == np.float64 and back.data.flags.c_contiguous
+        assert back.data.shape == (300, 9)
+        assert hashlib.sha256(back.data.tobytes()).hexdigest() == (
+            "fe8e1c0eceb9adfe35276fe4bdfe87733b0c970d2d787f6d3dd1310abe294133"
+        )
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_bytes(b"a,b\r\n")
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize(
+        "body", [b"a,b\n1,2\n\n3,4\n", b"a,b\r\n1,2\r\n\r\n3,4\r\n", b"a,b\n1,2\n\n"]
+    )
+    def test_blank_line_is_a_row_of_zero_fields(self, tmp_path, body):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(body)
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: row 3 has 0 fields, expected 2"
+
+    def test_every_row_wider_than_the_header(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: row 2 has 3 fields, expected 2"
+
+    def test_quoted_header_and_cells(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b'"a,\nb",c\r\n"2.5",-1e-3\r\n3,"4"\r\n')
+        back = read_series_csv(path)
+        assert back.channel_names == ["a,\nb", "c"]
+        np.testing.assert_array_equal(back.data, [[2.5, -1e-3], [3.0, 4.0]])
+
+    def test_rows_are_counted_as_records_after_a_multiline_header(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b'"a\nb",c\n1,2\n3\n')
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: row 3 has 1 fields, expected 2"
+
+    def test_padded_and_exponent_cells(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("a,b\n 1.5 ,\t-2E+03\n.5,5.\n")
+        np.testing.assert_array_equal(read_series_csv(path).data, [[1.5, -2000.0], [0.5, 5.0]])
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_non_finite_value_is_rejected(self, tmp_path, cell):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(NonFiniteValue, match="NaN or infinite"):
+            read_series_csv(path)
+
+    def test_hash_cell_is_data_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("a,b\n1,2\n3,#4\n")
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: non-numeric value '#4' at row 3, column 2 (b)"
 
 
 class TestTruthJsonRoundTrip:
