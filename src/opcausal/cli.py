@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -40,34 +41,80 @@ def write_series_csv(series: MultivariateSeries, path: str | Path) -> None:
         np.savetxt(fh, series.data, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
-def read_series_csv(path: str | Path, sample_rate: float | None = None) -> MultivariateSeries:
+_LINE_ENDS = frozenset({"\n", "\r\n", "\r"})
+
+
+class _BlankLine(ValueError):
+    """A data line with no characters, which np.loadtxt would skip."""
+
+
+def _data_lines(fh):
+    """The remaining lines of fh, stopping at the first blank one."""
+    quotes = 0  # a blank line inside a quoted cell is part of the cell
+    for line in fh:
+        if line in _LINE_ENDS and not quotes % 2:
+            raise _BlankLine("blank line")
+        quotes += line.count('"')
+        yield line
+
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads cell as a float: float() without "_" or non-ASCII digits."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_fault(path, header: list[str]) -> None:
+    """Re-scan the records and raise for the first that np.loadtxt cannot read."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise OpcausalError(f"{path}: empty file") from None
-        rows = []
+        next(reader)
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise OpcausalError(
                     f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
                 )
-            parsed = []
             for col, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+                if not _is_number(cell):
                     raise OpcausalError(
                         f"{path}: non-numeric value {cell!r} at row {line_no}, "
                         f"column {col + 1} ({header[col]})"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise OpcausalError(f"{path}: no data rows")
-    return MultivariateSeries(
-        data=np.array(rows), sample_rate=sample_rate, channel_names=header
-    )
+                    )
+
+
+def read_series_csv(path: str | Path, sample_rate: float | None = None) -> MultivariateSeries:
+    """Header row via csv, numbers via np.loadtxt; a re-scan names any fault."""
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise OpcausalError(f"{path}: empty file") from None
+        lines = _data_lines(fh)
+        try:
+            first = next(lines, None)
+            if first is None:  # np.loadtxt would warn and return an empty array
+                raise OpcausalError(f"{path}: no data rows")
+            data = np.loadtxt(
+                itertools.chain([first], lines),
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                dtype=float,
+            )
+            fault = None if data.shape[1] == len(header) else f"{data.shape[1]} columns"
+        except ValueError as exc:
+            fault = str(exc)
+    if fault is not None:
+        _raise_first_fault(path, header)
+        raise OpcausalError(f"{path}: unreadable data ({fault})")
+    return MultivariateSeries(data=data, sample_rate=sample_rate, channel_names=header)
 
 
 def _write_json(path: str | Path, payload, **options) -> None:
@@ -161,17 +208,27 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     return merged
 
 
+def _integer(cfg: dict, key: str) -> int:
+    """cfg[key] as an int; a bool, a string or a fractional value is an error."""
+    value = cfg[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise OpcausalError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings."""
     cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
-    series = read_series_csv(args.input, sample_rate=args.sample_rate)
-    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
-    params = EmbeddingParams(m=int(cfg["M"]), d=int(cfg["d"]))
+    params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
     settings = {
         "lam": float(cfg["lambda"]),
         "delta": float(cfg["delta"]),
-        "r_max": int(cfg["r_max"]),
+        "r_max": _integer(cfg, "r_max"),
     }
+    series = read_series_csv(args.input, sample_rate=args.sample_rate)
+    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     return cfg, series, params, delays, settings
 
 
@@ -225,6 +282,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise OpcausalError(f"--threads must be at least 1, got {args.threads}")
     flags = {"delta": args.delta, "T": args.T, "NL": args.NL, "lambda": args.lambda_, "K": args.K}
     grid = {k: _parse_list(v, int if k == "T" else float) for k, v in flags.items() if v}
     if not grid:

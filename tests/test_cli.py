@@ -117,6 +117,32 @@ class TestSeriesCsvRoundTrip:
             read_series_csv(path)
         assert str(exc.value) == f"{path}: row 3 has 1 fields, expected 2"
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"])
+    def test_cell_float_reads_but_numpy_does_not_is_named(self, tmp_path, cell):
+        # float() accepts digit-group underscores and any Unicode decimal digit
+        path = tmp_path / "digits.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: non-numeric value {cell!r} at row 3, column 2 (b)"
+
+    def test_blank_line_inside_a_quoted_cell_is_part_of_the_cell(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b'a,b\n"1\n\n",2\n3,4\n')
+        np.testing.assert_array_equal(read_series_csv(path).data, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_fault_the_rescan_cannot_name_is_still_an_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "series.csv"
+        path.write_text("a,b\n1,2\n")
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(OpcausalError) as exc:
+            read_series_csv(path)
+        assert str(exc.value) == f"{path}: unreadable data (refused)"
+
     def test_padded_and_exponent_cells(self, tmp_path):
         path = tmp_path / "padded.csv"
         path.write_text("a,b\n 1.5 ,\t-2E+03\n.5,5.\n")
@@ -291,6 +317,42 @@ class TestCommands:
         assert capsys.readouterr().err == "error: r_max must be at least 1, got 0\n"
         assert not net.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"r_max": 2.7}, "r_max must be an integer, got 2.7"),
+            ({"M": 3.9}, "M must be an integer, got 3.9"),
+            ({"M": True}, "M must be an integer, got True"),
+            ({"d": "100"}, "d must be an integer, got '100'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["infer", "windowed"])
+    def test_config_integer_that_is_not_whole_is_an_error(
+        self, tmp_path, capsys, command, content, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        result = tmp_path / "result.csv"
+        argv = [command, "--input", str(out.with_suffix(".csv")), "--out", str(result)]
+        assert main([*argv, "--config", str(cfg), "--sample-rate", "100"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not result.exists()
+        assert not result.with_suffix(".manifest.json").exists()
+
+    def test_config_integer_written_as_a_whole_float_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 3.0, "r_max": 2.0}))
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        net = tmp_path / "net.json"
+        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
+        assert main([*argv, "--config", str(cfg), "--delays", "1-3"]) == 0
+        params = json.loads(net.read_text())["params"]
+        assert params["m"] == 3 and params["r_max"] == 2
+
     def test_windowed_writes_normalized_strengths(self, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--system", "ar", "--T", "6000", "--seed", "1", "--out", str(out)])
@@ -396,6 +458,14 @@ class TestCommands:
         assert main(["simulate", *argv, "--T", "300", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert {k: manifest[k] for k in ("T", "c", "K") if k in manifest} == recorded
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_sweep_threads_below_one_is_an_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--system", "ar", "--delta", "0.1", "--T", "200", "--R", "1"]
+        assert main([*argv, "--threads", threads, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_needs_an_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--system", "ar", "--out", str(tmp_path / "s")])
