@@ -1,9 +1,11 @@
 """Command-line frontend: simulate | infer | sweep | windowed.
 
-Series travel as CSV (header row of channel names, one row per sample,
-17 significant digits for exact round-trips); ground truth and networks as
-JSON. Every run writes a manifest with the full configuration and seed.
-Flag values override config-file values, which override defaults.
+Series travel as CSV: a header row of channel names, then one row per
+sample, written with 17 significant digits for exact round-trips and read
+back by np.loadtxt (no blank lines; a bad cell is named by row and column).
+Ground truth and networks travel as JSON. Every run writes a manifest with
+the full configuration and seed. Flag values override config-file values,
+which override defaults; M, d and r_max must be integers.
 """
 
 from __future__ import annotations
@@ -44,16 +46,12 @@ def write_series_csv(series: MultivariateSeries, path: str | Path) -> None:
 _LINE_ENDS = frozenset({"\n", "\r\n", "\r"})
 
 
-class _BlankLine(ValueError):
-    """A data line with no characters, which np.loadtxt would skip."""
-
-
 def _data_lines(fh):
-    """The remaining lines of fh, stopping at the first blank one."""
+    """The remaining lines of fh; a blank one, which np.loadtxt would skip, raises."""
     quotes = 0  # a blank line inside a quoted cell is part of the cell
     for line in fh:
         if line in _LINE_ENDS and not quotes % 2:
-            raise _BlankLine("blank line")
+            raise ValueError("blank line")
         quotes += line.count('"')
         yield line
 
@@ -221,14 +219,14 @@ def _integer(cfg: dict, key: str) -> int:
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings."""
     cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
+    series = read_series_csv(args.input, sample_rate=args.sample_rate)
+    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
     settings = {
         "lam": float(cfg["lambda"]),
         "delta": float(cfg["delta"]),
         "r_max": _integer(cfg, "r_max"),
     }
-    series = read_series_csv(args.input, sample_rate=args.sample_rate)
-    delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     return cfg, series, params, delays, settings
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: round-trips, commands, and error reporting."""
 
+import csv
 import hashlib
 import json
 
@@ -79,6 +80,19 @@ class TestSeriesCsvRoundTrip:
             "fe8e1c0eceb9adfe35276fe4bdfe87733b0c970d2d787f6d3dd1310abe294133"
         )
 
+    def test_equals_float_of_each_csv_cell(self, tmp_path, rng):
+        # the per-cell float() reader that np.loadtxt replaced is the reference
+        forms = ["{!r}", "{:.17g}", "{:.5e}", "{:.3E}", '"{!r}"', " {:.8f} ", "{:+.1f}"]
+        values = rng.standard_normal((40, len(forms))) * 10.0 ** rng.integers(-30, 30, (40, 1))
+        lines = [",".join(f"c{j}" for j in range(len(forms)))]
+        lines += [",".join(f.format(v) for f, v in zip(forms, row)) for row in values.tolist()]
+        path = tmp_path / "forms.csv"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        with open(path, newline="") as fh:
+            expected = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
+        back = read_series_csv(path).data
+        assert back.tobytes() == np.array(expected).tobytes()
+
     def test_header_only_has_no_data_rows(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_bytes(b"a,b\r\n")
@@ -155,12 +169,13 @@ class TestSeriesCsvRoundTrip:
         with pytest.raises(NonFiniteValue, match="NaN or infinite"):
             read_series_csv(path)
 
-    def test_hash_cell_is_data_not_a_comment(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["#4", "4#5"])
+    def test_hash_cell_is_data_not_a_comment(self, tmp_path, cell):
         path = tmp_path / "hash.csv"
-        path.write_text("a,b\n1,2\n3,#4\n")
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
         with pytest.raises(OpcausalError) as exc:
             read_series_csv(path)
-        assert str(exc.value) == f"{path}: non-numeric value '#4' at row 3, column 2 (b)"
+        assert str(exc.value) == f"{path}: non-numeric value {cell!r} at row 3, column 2 (b)"
 
 
 class TestTruthJsonRoundTrip:
