@@ -73,6 +73,72 @@ class TestSimulateAr:
         )
         assert truth.triples() == {(1, 2, 1)}
 
+    # sha256 of the output bytes: criterion 1's system at two seeds, a
+    # two-channel motif, uncoupled maps, and four disjoint copies of the
+    # nine-channel system (the benchmark's wide set-up), so a faster step
+    # loop must reproduce them bit for bit
+    @pytest.mark.parametrize(
+        "n_samples, seed, couplings, n_channels, digest",
+        [
+            (10_000, 0, None, None,
+             "cb0ef7bfe57c1ce87d986d07a7a02a475bf4fab84570f8f0da0a08b311a8191c"),
+            (10_000, 1, None, None,
+             "f9b40fcd8851b93585d089f03432e56d751a8f54eab9c36c0ce712e9c04b16bd"),
+            (1000, 0, {(0, 1, 2): 1.5}, 2,
+             "15d799d0ee1011dfe27d727138ffb4d8f03c14bfaca7d803a721bb7fb41042cf"),
+            (300, 0, {}, 3,
+             "6814447d92ff1009db1370fc40462d4c0bf9d96499af3f5bff073b554bdc1071"),
+            (2000, 0, "wide", 36,
+             "4370223d63f4464199da6cc15f4a9691edb20b4286b43d9c19890038e74f654f"),
+        ],
+    )
+    def test_output_bytes_pinned(self, n_samples, seed, couplings, n_channels, digest):
+        if couplings == "wide":
+            couplings = {
+                (s + 9 * k, t + 9 * k, d): c
+                for k in range(4)
+                for (s, t, d), c in AR_COUPLINGS.items()
+            }
+        series, _ = simulate_ar(n_samples, seed, couplings=couplings, n_channels=n_channels)
+        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n_samples, seed, couplings, n_channels, burn_in",
+        [
+            (500, 2, {(0, 1, 300): 0.5}, 2, 100),  # delay beyond the burn-in
+            (400, 3, AR_COUPLINGS, 9, 0),
+            (400, 4, {(0, 1, 1): 2, (1, 2, 3): -1}, 3, 50),  # integer coefficients
+            (300, 5, {}, 1, 500),
+            (101, 6, AR_COUPLINGS, 9, 500),
+        ],
+    )
+    def test_equals_per_step_numpy_loop(self, n_samples, seed, couplings, n_channels, burn_in):
+        series, _ = simulate_ar(n_samples, seed, couplings, burn_in, n_channels)
+        want = reference_ar(n_samples, seed, couplings, burn_in, n_channels)
+        assert series.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", [50.0, 1e200])  # leaves the bound; overflows to inf
+    def test_divergence_raises(self, c):
+        with pytest.raises(NonFiniteState):
+            simulate_ar(1000, seed=0, couplings={(0, 1, 1): c}, n_channels=2)
+
+
+def reference_ar(n_samples, seed, couplings, burn_in, n_channels):
+    """The autoregressive map stepped with numpy ufuncs on whole rows."""
+    max_lag = max(max((d for _, _, d in couplings), default=1), 1)
+    rng = np.random.default_rng(seed)
+    total = n_samples + burn_in + max_lag
+    noise = 0.4 * rng.standard_normal((total, n_channels))
+    x = np.zeros((total, n_channels))
+    x[:max_lag] = noise[:max_lag]
+    for t in range(max_lag, total):
+        prev = x[t - 1]
+        row = 3.4 * prev * (1.0 - prev * prev) * np.exp(-prev * prev) + noise[t]
+        for (src, tgt, delay), c in couplings.items():
+            row[tgt] += c * x[t - delay, src]
+        x[t] = row
+    return x[burn_in + max_lag :]
+
 
 class TestSimulateLorenzChain:
     def test_shape_and_truth(self):
