@@ -5,7 +5,8 @@ sample, written with 17 significant digits for exact round-trips and read
 back by np.loadtxt (no blank lines; a bad cell is named by row and column).
 Ground truth and networks travel as JSON. Every run writes a manifest with
 the full configuration and seed. Flag values override config-file values,
-which override defaults; M, d and r_max must be integers.
+which override defaults; M, d and r_max must be integers, lambda and
+delta numbers.
 """
 
 from __future__ import annotations
@@ -216,6 +217,14 @@ def _integer(cfg: dict, key: str) -> int:
     return value
 
 
+def _number(cfg: dict, key: str) -> float:
+    """cfg[key] as a float; a bool, a string or null is an error."""
+    value = cfg[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise OpcausalError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings."""
     cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
@@ -223,8 +232,8 @@ def _pipeline_inputs(args):
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
     settings = {
-        "lam": float(cfg["lambda"]),
-        "delta": float(cfg["delta"]),
+        "lam": _number(cfg, "lambda"),
+        "delta": _number(cfg, "delta"),
         "r_max": _integer(cfg, "r_max"),
     }
     return cfg, series, params, delays, settings

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -59,11 +60,6 @@ AR_NOISE_SCALE = 0.4
 AR_N_CHANNELS = 9
 
 
-def _ar_self_map(x: np.ndarray) -> np.ndarray:
-    # bounded logistic-like map; peaks near |x| ~ 0.6 and decays to zero
-    return 3.4 * x * (1.0 - x * x) * np.exp(-x * x)
-
-
 def simulate_ar(
     n_samples: int,
     seed: int,
@@ -84,17 +80,23 @@ def simulate_ar(
         n_channels = AR_N_CHANNELS
     if any(s >= n_channels or t >= n_channels for s, t, _ in couplings):
         raise ValueError("coupling endpoints exceed the channel count")
-    max_lag = max((d for _, _, d in couplings), default=1)
-    max_lag = max(max_lag, 1)
+    max_lag = max(max((d for _, _, d in couplings), default=1), 1)
     rng = np.random.default_rng(seed)
     total = n_samples + burn_in + max_lag
     noise = AR_NOISE_SCALE * rng.standard_normal((total, n_channels))
     x = np.zeros((total, n_channels))
     x[:max_lag] = noise[:max_lag]
+    # The bounded self map 3.4 x (1 - x^2) exp(-x^2) stepped on Python floats,
+    # which round as float64 ufuncs do; exp stays numpy's, as math.exp can
+    # differ in the last bit and the map is chaotic. rows holds the last max_lag.
+    rows = deque(x[:max_lag].tolist(), maxlen=max_lag)
     for t in range(max_lag, total):
-        row = _ar_self_map(x[t - 1]) + noise[t]
+        prev = rows[-1]
+        e = np.exp([-v * v for v in prev]).tolist()
+        row = [3.4 * v * (1.0 - v * v) * ei + ni for v, ei, ni in zip(prev, e, noise[t].tolist())]
         for (src, tgt, delay), c in couplings.items():
-            row[tgt] += c * x[t - delay, src]
+            row[tgt] += c * rows[-delay][src]
+        rows.append(row)
         x[t] = row
     data = x[burn_in + max_lag :]
     if not np.all(np.abs(data) < 100):
@@ -147,29 +149,36 @@ def simulate_lorenz_chain(
     for _ in range(3):
         state += [rng.normal(0.0, 5.0), rng.normal(0.0, 5.0), 25.0 + rng.normal(0.0, 5.0)]
 
-    def step(s):
-        k1 = _lorenz_chain_deriv(s, c)
-        s2 = [si + 0.5 * LORENZ_DT * ki for si, ki in zip(s, k1)]
-        k2 = _lorenz_chain_deriv(s2, c)
-        s3 = [si + 0.5 * LORENZ_DT * ki for si, ki in zip(s, k2)]
-        k3 = _lorenz_chain_deriv(s3, c)
-        s4 = [si + LORENZ_DT * ki for si, ki in zip(s, k3)]
-        k4 = _lorenz_chain_deriv(s4, c)
-        return [
-            si + LORENZ_DT / 6.0 * (a + 2 * b + 2 * g + e)
-            for si, a, b, g, e in zip(s, k1, k2, k3, k4)
-        ]
-
-    for _ in range(LORENZ_TRANSIENT_STEPS):
-        state = step(state)
+    # RK4 on nine scalar locals; each expression keeps the order of
+    # s + 0.5*dt*k and s + dt/6*(k1 + 2*k2 + 2*k3 + k4), so the bytes do too
+    h, dt, w = 0.5 * LORENZ_DT, LORENZ_DT, LORENZ_DT / 6.0
+    x1, y1, z1, x2, y2, z2, x3, y3, z3 = state
     out = np.empty((n_samples, 3))
-    for i in range(n_samples):
-        state = step(state)
-        out[i, 0] = state[0]
-        out[i, 1] = state[3]
-        out[i, 2] = state[6]
-        if not (abs(state[0]) < 1e6):
-            raise NonFiniteState("Lorenz integration diverged")
+    for i in range(-LORENZ_TRANSIENT_STEPS, n_samples):
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = _lorenz_chain_deriv(
+            (x1, y1, z1, x2, y2, z2, x3, y3, z3), c)
+        b1, b2, b3, b4, b5, b6, b7, b8, b9 = _lorenz_chain_deriv(
+            (x1 + h * a1, y1 + h * a2, z1 + h * a3, x2 + h * a4, y2 + h * a5,
+             z2 + h * a6, x3 + h * a7, y3 + h * a8, z3 + h * a9), c)
+        g1, g2, g3, g4, g5, g6, g7, g8, g9 = _lorenz_chain_deriv(
+            (x1 + h * b1, y1 + h * b2, z1 + h * b3, x2 + h * b4, y2 + h * b5,
+             z2 + h * b6, x3 + h * b7, y3 + h * b8, z3 + h * b9), c)
+        e1, e2, e3, e4, e5, e6, e7, e8, e9 = _lorenz_chain_deriv(
+            (x1 + dt * g1, y1 + dt * g2, z1 + dt * g3, x2 + dt * g4, y2 + dt * g5,
+             z2 + dt * g6, x3 + dt * g7, y3 + dt * g8, z3 + dt * g9), c)
+        x1 += w * (a1 + 2 * b1 + 2 * g1 + e1)
+        y1 += w * (a2 + 2 * b2 + 2 * g2 + e2)
+        z1 += w * (a3 + 2 * b3 + 2 * g3 + e3)
+        x2 += w * (a4 + 2 * b4 + 2 * g4 + e4)
+        y2 += w * (a5 + 2 * b5 + 2 * g5 + e5)
+        z2 += w * (a6 + 2 * b6 + 2 * g6 + e6)
+        x3 += w * (a7 + 2 * b7 + 2 * g7 + e7)
+        y3 += w * (a8 + 2 * b8 + 2 * g8 + e8)
+        z3 += w * (a9 + 2 * b9 + 2 * g9 + e9)
+        if i >= 0:  # past the transient: record, and stop on divergence
+            out[i] = x1, x2, x3
+            if not (abs(x1) < 1e6):
+                raise NonFiniteState("Lorenz integration diverged")
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("Lorenz integration produced non-finite values")
     truth = GroundTruth(

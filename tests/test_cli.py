@@ -357,6 +357,40 @@ class TestCommands:
         assert not result.exists()
         assert not result.with_suffix(".manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"delta": True}, "delta must be a number, got True"),
+            ({"lambda": "0.9"}, "lambda must be a number, got '0.9'"),
+            ({"delta": None}, "delta must be a number, got None"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["infer", "windowed"])
+    def test_config_number_that_is_not_a_number_is_an_error(
+        self, tmp_path, capsys, command, content, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        result = tmp_path / "result.csv"
+        argv = [command, "--input", str(out.with_suffix(".csv")), "--out", str(result)]
+        assert main([*argv, "--config", str(cfg), "--sample-rate", "100"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not result.exists()
+        assert not result.with_suffix(".manifest.json").exists()
+
+    def test_config_integer_delta_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0}))
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        net = tmp_path / "net.json"
+        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
+        assert main([*argv, "--config", str(cfg), "--delays", "1-3"]) == 0
+        assert json.loads(net.read_text())["params"]["delta"] == 0.0
+
     def test_config_integer_written_as_a_whole_float_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 3.0, "r_max": 2.0}))
