@@ -35,6 +35,13 @@ class TestGroundTruth:
         assert gt.triples() == {(0, 1, 2), (1, 2, 3)}
 
 
+# four disjoint copies of the nine-channel structure, as the benchmark's
+# 36-channel set-up builds them
+WIDE_COUPLINGS = {
+    (s + 9 * k, t + 9 * k, d): c for k in range(4) for (s, t, d), c in AR_COUPLINGS.items()
+}
+
+
 class TestSimulateAr:
     def test_shape_and_truth(self):
         series, truth = simulate_ar(5000, seed=1)
@@ -74,9 +81,8 @@ class TestSimulateAr:
         assert truth.triples() == {(1, 2, 1)}
 
     # sha256 of the output bytes: criterion 1's system at two seeds, a
-    # two-channel motif, uncoupled maps, and four disjoint copies of the
-    # nine-channel system (the benchmark's wide set-up), so a faster step
-    # loop must reproduce them bit for bit
+    # two-channel motif, uncoupled maps and the 36-channel structure, so a
+    # faster step loop must reproduce them bit for bit
     @pytest.mark.parametrize(
         "n_samples, seed, couplings, n_channels, digest",
         [
@@ -88,17 +94,11 @@ class TestSimulateAr:
              "15d799d0ee1011dfe27d727138ffb4d8f03c14bfaca7d803a721bb7fb41042cf"),
             (300, 0, {}, 3,
              "6814447d92ff1009db1370fc40462d4c0bf9d96499af3f5bff073b554bdc1071"),
-            (2000, 0, "wide", 36,
+            (2000, 0, WIDE_COUPLINGS, 36,
              "4370223d63f4464199da6cc15f4a9691edb20b4286b43d9c19890038e74f654f"),
         ],
     )
     def test_output_bytes_pinned(self, n_samples, seed, couplings, n_channels, digest):
-        if couplings == "wide":
-            couplings = {
-                (s + 9 * k, t + 9 * k, d): c
-                for k in range(4)
-                for (s, t, d), c in AR_COUPLINGS.items()
-            }
         series, _ = simulate_ar(n_samples, seed, couplings=couplings, n_channels=n_channels)
         assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest
 
