@@ -295,7 +295,7 @@ def cmd_sweep(args) -> int:
     grid = {k: _parse_list(v, int if k == "T" else float) for k, v in flags.items() if v}
     if not grid:
         raise OpcausalError("sweep needs at least one axis (--delta/--T/--NL/--lambda/--K)")
-    result = sweep(
+    cells = sweep(
         args.system,
         grid,
         n_realizations=args.R,
@@ -307,11 +307,11 @@ def cmd_sweep(args) -> int:
     axes = sorted(grid)
     with open(out.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["system", *axes, "realization_count", *result.cells[0].stats])
-        for cell in result.cells:
+        writer.writerow(["system", *axes, "realization_count", *cells[0].stats])
+        for cell in cells:
             writer.writerow(
                 [
-                    result.system,
+                    args.system,
                     *(cell.params[a] for a in axes),
                     cell.n_realizations,
                     *("" if v is None else f"{v:.6f}" for v in cell.stats.values()),
@@ -319,36 +319,33 @@ def cmd_sweep(args) -> int:
             )
     _write_json(
         out.with_suffix(".json"),
-        {
-            "system": result.system,
-            "base_seed": result.base_seed,
-            "cells": [vars(c) for c in result.cells],
-        },
+        {"system": args.system, "base_seed": args.seed, "cells": [vars(c) for c in cells]},
     )
     write_manifest(
         out.with_suffix(".manifest.json"),
         {"command": "sweep", "system": args.system, "grid": grid, "R": args.R, "seed": args.seed},
     )
-    print(f"{len(result.cells)} cells -> {out.with_suffix('.csv')}")
+    print(f"{len(cells)} cells -> {out.with_suffix('.csv')}")
     return 0
 
 
 def cmd_windowed(args) -> int:
     cfg, series, params, delays, settings = _pipeline_inputs(args)
-    result = windowed_analysis(
-        series, args.window_s, args.overlap, params, delays, **settings
-    )
+    windows = windowed_analysis(series, args.window_s, args.overlap, params, delays, **settings)
+    entries = [(mid_s, e) for mid_s, network in windows for e in network.edges]
+    # strengths are divided by the largest over the whole recording
+    top = max((e.strength for _, e in entries), default=0.0)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_mid_s", "source", "target", "delay_ms", "strength_normalized"])
-        for e in result.entries:
+        for mid_s, e in entries:
             writer.writerow(
                 [
-                    f"{e.window_mid_s:.6f}",
+                    f"{mid_s:.6f}",
                     series.channel_names[e.source],
                     series.channel_names[e.target],
                     f"{e.delay * 1000.0 / args.sample_rate:.6f}",
-                    f"{e.strength:.6f}",
+                    f"{e.strength / top if top > 0 else e.strength:.6f}",
                 ]
             )
     write_manifest(
@@ -360,9 +357,10 @@ def cmd_windowed(args) -> int:
             "overlap": args.overlap,
             "sample_rate": args.sample_rate,
             **cfg,
+            "window_mid_s": [mid_s for mid_s, _ in windows],
         },
     )
-    print(f"{len(result.entries)} window entries -> {args.out}")
+    print(f"{len(entries)} window entries -> {args.out}")
     return 0
 
 

@@ -6,8 +6,8 @@ negative) or by pair identity alone. The sweep harness runs seeded
 realizations through simulate -> noise -> infer -> score and aggregates
 TPR/FPR/F1 per grid cell; seeds are derived from the cell's parameter
 values, so enlarging a grid never changes existing cells. `SYSTEMS` is the
-one place that knows each benchmark system: its simulator and the cell
-defaults the pipeline runs it with.
+one place that knows each benchmark system: its simulator and the fixed
+settings the pipeline runs it with.
 """
 
 from __future__ import annotations
@@ -124,13 +124,6 @@ class SweepCell:
     errors: list[str] = field(default_factory=list)
 
 
-@dataclass
-class SweepResult:
-    system: str
-    base_seed: int
-    cells: list[SweepCell]
-
-
 def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -> int:
     """Seed derived from the cell's parameter values, stable under grid growth."""
     key = repr((sorted(cell_params.items()), realization)).encode()
@@ -143,8 +136,8 @@ class System:
     """What the harness knows of one benchmark system.
 
     `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`, which
-    holds their defaults; `delays(fs)` is the default delay grid at the sample
-    rate left after decimation. The rest are the cell defaults for the pipeline.
+    holds their defaults; `delays(fs)` is the delay grid at the sample rate
+    left after decimation. The rest are the pipeline's settings for the system.
     """
 
     reads: dict[str, float]
@@ -207,9 +200,7 @@ SYSTEMS: dict[str, System] = {
 }
 
 # the cell keys run_realization reads for every system
-_PIPELINE_KEYS = frozenset(
-    ("NL", "decimate", "delays", "M", "d", "lambda", "delta", "r_max", "one_delay_per_pair")
-)
+_PIPELINE_KEYS = frozenset(("NL", "lambda", "delta"))
 
 
 def _system(name: str, keys) -> System:
@@ -230,28 +221,30 @@ def run_realization(
 ) -> Metrics:
     """simulate -> observation noise -> infer -> score for a single seed.
 
-    For "nmm", a `nmm_config` of None means the reproduction configuration.
-    A cell key that no part of the pipeline reads raises ValueError.
+    The cell sets the simulator's keys and NL, lambda and delta; the
+    decimation, delay grid, d and one_delay_per_pair come from SYSTEMS, with
+    m = 3 and the default r_max. For "nmm", a `nmm_config` of None means the
+    reproduction configuration. Any other cell key raises ValueError.
     """
     spec = _system(system, cell)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
     noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
-    factor = int(cell.get("decimate", spec.decimate))
-    if factor > 1:
-        noisy = decimate(noisy, factor)
+    if spec.decimate > 1:
+        noisy = decimate(noisy, spec.decimate)
         truth = GroundTruth(
-            edges=[(s, tg, max(1, int(round(dl / factor)))) for s, tg, dl in truth.edges],
+            edges=[
+                (s, tg, max(1, int(round(dl / spec.decimate)))) for s, tg, dl in truth.edges
+            ],
             description=truth.description,
         )
-    delays = DelayGrid(cell.get("delays", spec.delays(noisy.sample_rate)))
+    delays = DelayGrid(spec.delays(noisy.sample_rate))
     network = infer_network(
         noisy,
-        EmbeddingParams(m=int(cell.get("M", 3)), d=int(cell.get("d", spec.d))),
+        EmbeddingParams(m=3, d=spec.d),
         delays,
         lam=float(cell.get("lambda", DEFAULT_LAMBDA)),
         delta=float(cell.get("delta", DEFAULT_DELTA)),
-        r_max=int(cell.get("r_max", DEFAULT_R_MAX)),
-        one_delay_per_pair=bool(cell.get("one_delay_per_pair", spec.one_delay_per_pair)),
+        one_delay_per_pair=spec.one_delay_per_pair,
     )
     counts = score(network, truth, series.n_channels, delays, spec.delay_sensitive)
     return metrics(counts)
@@ -294,8 +287,8 @@ def sweep(
     base_seed: int,
     nmm_config: NmmConfig | None = None,
     max_workers: int = 1,
-) -> SweepResult:
-    """Evaluate every cell of the cartesian product of the grid axes."""
+) -> list[SweepCell]:
+    """Evaluate every cell of the cartesian product of the grid axes, in order."""
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     _system(system, grid)  # an unread axis fails before any realization runs
@@ -306,27 +299,8 @@ def sweep(
     tasks = [(system, c, n_realizations, base_seed, nmm_config) for c in cells]
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            cell_results = list(pool.map(_run_cell, tasks))
-    else:
-        cell_results = [_run_cell(t) for t in tasks]
-    return SweepResult(system=system, base_seed=base_seed, cells=cell_results)
-
-
-@dataclass
-class WindowEntry:
-    window_mid_s: float
-    source: int
-    target: int
-    delay: int
-    strength: float
-
-
-@dataclass
-class WindowedCoupling:
-    window_s: float
-    overlap: float
-    entries: list[WindowEntry]
-    midpoints_s: list[float]
+            return list(pool.map(_run_cell, tasks))
+    return [_run_cell(t) for t in tasks]
 
 
 def windowed_analysis(
@@ -338,13 +312,8 @@ def windowed_analysis(
     lam: float = DEFAULT_LAMBDA,
     delta: float = DEFAULT_DELTA,
     r_max: int = DEFAULT_R_MAX,
-) -> WindowedCoupling:
-    """Per-window inference with strengths normalized over the recording.
-
-    Each window's surviving links are converted to strengths h_max - CE and
-    divided by the maximum strength over all windows; if no link survives
-    anywhere, all strengths stay zero.
-    """
+) -> list[tuple[float, CausalNetwork]]:
+    """(window midpoint in s, inferred network) for each sliding window, in order."""
     if series.sample_rate is None:
         raise ValueError("windowed analysis requires a sample rate")
     if not (0.0 <= overlap < 1.0):
@@ -358,35 +327,13 @@ def windowed_analysis(
             f"({min_len / fs:.3f} s)"
         )
     step = max(1, int(round(win_len * (1.0 - overlap))))
-
-    raw: list[WindowEntry] = []
-    midpoints: list[float] = []
-    start = 0
-    while start + win_len <= series.n_samples:
+    windows = []
+    for start in range(0, series.n_samples - win_len + 1, step):
         chunk = MultivariateSeries(
             data=series.data[start : start + win_len],
             sample_rate=fs,
             channel_names=list(series.channel_names),
         )
-        mid_s = (start + win_len / 2.0) / fs
-        midpoints.append(mid_s)
         network = infer_network(chunk, params, delays, lam=lam, delta=delta, r_max=r_max)
-        for e in network.edges:
-            raw.append(
-                WindowEntry(
-                    window_mid_s=mid_s,
-                    source=e.source,
-                    target=e.target,
-                    delay=e.delay,
-                    strength=e.strength,
-                )
-            )
-        start += step
-
-    max_strength = max((e.strength for e in raw), default=0.0)
-    if max_strength > 0:
-        for e in raw:
-            e.strength /= max_strength
-    return WindowedCoupling(
-        window_s=window_s, overlap=overlap, entries=raw, midpoints_s=midpoints
-    )
+        windows.append(((start + win_len / 2.0) / fs, network))
+    return windows

@@ -421,9 +421,11 @@ class TestCommands:
         manifest = json.loads((tmp_path / "windows.manifest.json").read_text())
         assert set(manifest) == {
             "command", "input", "window_s", "overlap", "sample_rate", "M", "d",
-            "lambda", "delta", "r_max", "delays", "tool_version",
+            "lambda", "delta", "r_max", "delays", "tool_version", "window_mid_s",
         }
         assert manifest["command"] == "windowed" and manifest["sample_rate"] == 200.0
+        # 30 s at 200 Hz in 20 s windows at the default 50% overlap
+        assert manifest["window_mid_s"] == [10.0, 20.0]
 
     def test_windowed_needs_a_sample_rate(self, tmp_path, capsys):
         out = tmp_path / "run"
