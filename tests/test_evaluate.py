@@ -231,6 +231,27 @@ class TestWindowedAnalysis:
         last = MultivariateSeries(data=data[3000:], sample_rate=100.0)
         assert windows[-1][1] == infer_network(last, params, grid, delta=0.1)
 
+    def test_coupling_found_only_in_the_coupled_half(self):
+        # 200 s uncoupled, then 200 s with 0 -> 1 at lag 2, at 100 Hz; 50 s
+        # windows every 25 s: 7 uncoupled, 1 across the boundary, 7 coupled
+        quiet, _ = simulate_ar(20_000, 0, couplings={}, n_channels=3)
+        coupled, _ = simulate_ar(20_000, 1000, couplings={(0, 1, 2): 1.5}, n_channels=3)
+        series = MultivariateSeries(
+            data=np.vstack([quiet.data, coupled.data]), sample_rate=100.0
+        )
+        windows = windowed_analysis(
+            series,
+            window_s=50.0,
+            overlap=0.5,
+            params=EmbeddingParams(m=3, d=100),
+            delays=DelayGrid(range(1, 11)),
+            delta=0.15,
+        )
+        found = {mid_s: (0, 1, 2) in network.edge_triples() for mid_s, network in windows}
+        assert len(found) == 15
+        assert [found[mid] for mid in found if mid + 25.0 <= 200.0] == [False] * 7
+        assert [found[mid] for mid in found if mid - 25.0 >= 200.0] == [True] * 7
+
     def test_requires_sample_rate(self, random_series):
         with pytest.raises(ValueError):
             windowed_analysis(
