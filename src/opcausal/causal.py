@@ -126,8 +126,7 @@ def epsilon_test(
     non-negative up to float error. Returns (keep, epsilon); keep is False
     when epsilon < delta.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    _check_delta(delta)
     augmented = ConditioningSet(list(p_min.members) + [(n, tau)])
     t_start = max(p_min.max_delay, tau)
     h_base = conditional_entropy_given_set(pi, m, p_min, t_start=t_start)
@@ -237,6 +236,12 @@ def _check_r_max(r_max: int) -> None:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
 
 
+def _check_delta(delta: float) -> None:
+    # written so that NaN fails too
+    if not delta >= 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+
+
 def _param_snapshot(params, delays, lam, delta, r_max) -> dict[str, Any]:
     return {
         "m": params.m,
@@ -264,6 +269,7 @@ def infer_network(
     through a smooth response so several neighboring lags pass the tests.
     """
     _check_r_max(r_max)
+    _check_delta(delta)
     pi, tensor = candidate_tensor(series, params, delays, lam)
     rows = prune_tensor(pi, tensor, delta, r_max)
     kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]

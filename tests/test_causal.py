@@ -160,6 +160,16 @@ class TestPipeline:
         with pytest.raises(ValueError, match="r_max must be at least 1"):
             infer_network(random_series, params, grid, r_max=r_max)
 
+    @pytest.mark.parametrize("delta", [-1.0, float("nan")])
+    def test_bad_delta_is_rejected_before_any_entropy(self, monkeypatch, delta):
+        # white noise has no candidate, so no epsilon test would see delta
+        series = MultivariateSeries(data=np.random.default_rng(0).standard_normal((3000, 3)))
+        params, grid = EmbeddingParams(m=3, d=1), DelayGrid([1, 2, 3])
+        assert not candidate_tensor(series, params, grid, lam=0.5)[1].candidates().any()
+        monkeypatch.setattr(causal, "ce_tensor", None)  # computing entropies fails
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            infer_network(series, params, grid, lam=0.5, delta=delta)
+
     def test_chain_recovered_and_indirect_pruned(self):
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
         series, truth = simulate_ar(10_000, seed=5, couplings=couplings, n_channels=3)

@@ -381,6 +381,19 @@ class TestCommands:
         assert not result.exists()
         assert not result.with_suffix(".manifest.json").exists()
 
+    def test_config_nan_delta_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"delta": NaN}')  # Python's JSON reader accepts NaN
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        net = tmp_path / "net.json"
+        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
+        assert main([*argv, "--config", str(cfg), "--delays", "1-3"]) == 1
+        assert capsys.readouterr().err == "error: delta must be non-negative, got nan\n"
+        assert not net.exists()
+        assert not net.with_suffix(".manifest.json").exists()
+
     def test_config_integer_delta_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0}))
