@@ -8,6 +8,7 @@ size; the whole module takes a few minutes.
 import math
 
 import numpy as np
+import pytest
 
 from opcausal import (
     ConditioningSet,
@@ -148,6 +149,10 @@ def test_criterion_4_entropy_bounds_and_limits():
     assert ok
 
 
+# the set oracle runs on 150-sample series, far below 10 samples per joint state
+@pytest.mark.filterwarnings(
+    "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
+)
 def test_criterion_5_oracle_equivalence():
     """Estimators match independent brute-force oracles to 1e-12."""
     from test_entropy import (
