@@ -333,8 +333,8 @@ def cmd_windowed(args) -> int:
     cfg, series, params, delays, settings = _pipeline_inputs(args)
     windows = windowed_analysis(series, args.window_s, args.overlap, params, delays, **settings)
     entries = [(mid_s, e) for mid_s, network in windows for e in network.edges]
-    # strengths are divided by the largest over the whole recording
-    top = max((e.strength for _, e in entries), default=0.0)
+    # each strength h_max - CE is positive; divided by the largest in the recording
+    top = max((e.strength for _, e in entries), default=1.0)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_mid_s", "source", "target", "delay_ms", "strength_normalized"])
@@ -345,7 +345,7 @@ def cmd_windowed(args) -> int:
                     series.channel_names[e.source],
                     series.channel_names[e.target],
                     f"{e.delay * 1000.0 / args.sample_rate:.6f}",
-                    f"{e.strength / top if top > 0 else e.strength:.6f}",
+                    f"{e.strength / top:.6f}",
                 ]
             )
     write_manifest(

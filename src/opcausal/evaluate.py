@@ -229,12 +229,11 @@ def run_realization(
     spec = _system(system, cell)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
     noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
-    if spec.decimate > 1:
-        noisy = decimate(noisy, spec.decimate)
+    factor = spec.decimate
+    if factor > 1:
+        noisy = decimate(noisy, factor)
         truth = GroundTruth(
-            edges=[
-                (s, tg, max(1, int(round(dl / spec.decimate)))) for s, tg, dl in truth.edges
-            ],
+            edges=[(s, tg, max(1, int(round(dl / factor)))) for s, tg, dl in truth.edges],
             description=truth.description,
         )
     delays = DelayGrid(spec.delays(noisy.sample_rate))

@@ -363,6 +363,7 @@ class TestCommands:
             ({"delta": True}, "delta must be a number, got True"),
             ({"lambda": "0.9"}, "lambda must be a number, got '0.9'"),
             ({"delta": None}, "delta must be a number, got None"),
+            ({"delta": float("nan")}, "delta must be non-negative, got nan"),
         ],
     )
     @pytest.mark.parametrize("command", ["infer", "windowed"])
@@ -380,19 +381,6 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not result.exists()
         assert not result.with_suffix(".manifest.json").exists()
-
-    def test_config_nan_delta_is_an_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"delta": NaN}')  # Python's JSON reader accepts NaN
-        out = tmp_path / "run"
-        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
-        capsys.readouterr()
-        net = tmp_path / "net.json"
-        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
-        assert main([*argv, "--config", str(cfg), "--delays", "1-3"]) == 1
-        assert capsys.readouterr().err == "error: delta must be non-negative, got nan\n"
-        assert not net.exists()
-        assert not net.with_suffix(".manifest.json").exists()
 
     # a 500-sample series is too short for its conditioning states; only the config is tested
     @pytest.mark.filterwarnings(
