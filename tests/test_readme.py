@@ -1,11 +1,11 @@
-"""The README's library example and its AR delta sweep run against the package."""
+"""The README's library example, its AR delta sweep and its command lines check out."""
 
 import csv
 import re
 import shlex
 from pathlib import Path
 
-from opcausal.cli import main
+from opcausal.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +30,15 @@ def test_ar_delta_sweep_line_runs(tmp_path):
     assert [row["delta"] for row in rows] == ["0.02", "0.05", "0.1", "0.15", "0.2", "0.3"]
     f1 = [f"{float(row['f1_mean']):.3f}" for row in rows]
     assert f1 == ["0.062", "0.064", "0.643", "0.924", "0.924", "0.871"]
+
+
+def test_command_lines_parse():
+    # every opcausal line of a shell block, and every inline opcausal command
+    # with flags; parsed, not run
+    text = README.read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("opcausal ")]
+    lines += re.findall(r"`(opcausal [a-z]+ --[^`]*)`", text)
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == {"simulate", "infer", "sweep", "windowed"}
