@@ -384,8 +384,8 @@ class TestCommands:
 
     # a 500-sample series is too short for its conditioning states; only the config is tested
     @pytest.mark.filterwarnings(
-    "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
-)
+        "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
+    )
     def test_config_integer_delta_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0}))
@@ -398,8 +398,8 @@ class TestCommands:
 
     # a 500-sample series is too short for its conditioning states; only the config is tested
     @pytest.mark.filterwarnings(
-    "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
-)
+        "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
+    )
     def test_config_integer_written_as_a_whole_float_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 3.0, "r_max": 2.0}))

@@ -107,8 +107,8 @@ class TestCoOccurrenceOracle:
 class TestConditionalEntropyGivenSet:
     # the oracle is compared on 200 samples, below 10 per state on purpose
     @pytest.mark.filterwarnings(
-    "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
-)
+        "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
+    )
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 10_000),

@@ -113,7 +113,7 @@ class TestDeriveSeed:
 
 
 # (system, cell, seed) -> (TPR, FPR, F1), recorded before the per-system
-# dispatch became the SYSTEMS table; every cell default must still apply.
+# dispatch became the SYSTEMS table; each system's settings must still apply.
 PINNED_REALIZATIONS = [
     ("ar", {"T": 4000, "NL": 0.2}, 5, (1.0, 0.04781997187060478, 0.34615384615384615)),
     ("lorenz", {"T": 3000, "c": 0.4}, 5, (1.0, 1.0, 0.5)),
