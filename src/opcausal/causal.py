@@ -17,7 +17,6 @@ import numpy as np
 from .entropy import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA,
-    DEFAULT_R_MAX,
     MIN_SAMPLES_PER_STATE,
     CETensor,
     ConditioningSet,
@@ -28,6 +27,11 @@ from .entropy import (
 )
 from .errors import CandidateNotALink, DegenerateSample
 from .ordinal import EmbeddingParams, MultivariateSeries, PatternMatrix, build_moptn
+
+# Largest conditioning set the epsilon test uses. At m = 3 the sample rule
+# alone would allow four members from T' >= 77,760, which would change the
+# edges of long recordings.
+_MAX_CONDITIONING = 3
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ def _candidate_links(tensor: CETensor):
 
 
 def minimal_conditioning_set(
-    tensor: CETensor, m: int, n: int, r_max: int = DEFAULT_R_MAX
+    tensor: CETensor, m: int, n: int, size: int = _MAX_CONDITIONING
 ) -> ConditioningSet:
     """Conditioning set for testing the candidate link n -> m.
 
@@ -86,7 +90,7 @@ def minimal_conditioning_set(
     to the target's own past at the grid's smallest positive delay (1 on a
     grid of lag 0 alone). Sets are node-based: a channel linked at several
     delays contributes only its most dominant (lowest-CE, then earliest)
-    delay. Members are ordered by (CE, delay, channel); capped at the r_max
+    delay. Members are ordered by (CE, delay, channel); capped at the `size`
     members with the lowest CE, equal CEs broken by (channel, delay) order.
     """
     linked = tensor.candidates().any(axis=2)
@@ -106,8 +110,8 @@ def minimal_conditioning_set(
         (float(tensor.values[m, c, j]), tensor.delays.delays[j], int(c))
         for c, j in zip(channels, lags)
     )
-    if len(best) > r_max:
-        best = sorted(best, key=lambda b: (b[0], b[2], b[1]))[:r_max]
+    if len(best) > size:
+        best = sorted(best, key=lambda b: (b[0], b[2], b[1]))[:size]
     return ConditioningSet([(c, tau) for _, tau, c in best])
 
 
@@ -184,12 +188,12 @@ def bivariate_network(
     return CausalNetwork(
         edges=_edges(links, tensor.h_max),
         h_max=tensor.h_max,
-        params=_param_snapshot(params, delays, lam, delta=None, r_max=None),
+        params=_param_snapshot(params, delays, lam, delta=None),
     )
 
 
-def reliable_conditioning_size(pi: PatternMatrix, r_max: int = DEFAULT_R_MAX) -> int:
-    """Largest conditioning-set size the sample length supports, capped at r_max.
+def reliable_conditioning_size(pi: PatternMatrix) -> int:
+    """Conditioning-set size the sample length supports, at most _MAX_CONDITIONING.
 
     The epsilon test conditions on r + 1 variables; we require at least
     MIN_SAMPLES_PER_STATE samples per augmented joint state, since below that
@@ -198,7 +202,7 @@ def reliable_conditioning_size(pi: PatternMatrix, r_max: int = DEFAULT_R_MAX) ->
     """
     r = 1
     while (
-        r < r_max
+        r < _MAX_CONDITIONING
         and pi.n_times / pi.n_patterns ** (r + 2) >= MIN_SAMPLES_PER_STATE
     ):
         r += 1
@@ -209,7 +213,6 @@ def prune_tensor(
     pi: PatternMatrix,
     tensor: CETensor,
     delta: float,
-    r_max: int = DEFAULT_R_MAX,
 ) -> list[Evidence]:
     """Run the epsilon test on every candidate: one Evidence row each.
 
@@ -218,8 +221,7 @@ def prune_tensor(
     order, and not on delta either: delta only sets each epsilon_test's keep
     flag, `epsilon >= delta`. Rows are ordered by target, source and delay.
     """
-    _check_r_max(r_max)
-    r_eff = reliable_conditioning_size(pi, r_max)
+    r_eff = reliable_conditioning_size(pi)
     p_mins: dict[tuple[int, int], ConditioningSet] = {}
     rows = []
     for m, n, tau, ce in _candidate_links(tensor):
@@ -230,26 +232,19 @@ def prune_tensor(
     return rows
 
 
-def _check_r_max(r_max: int) -> None:
-    # every candidate is tested against at least one conditioning member
-    if r_max < 1:
-        raise ValueError(f"r_max must be at least 1, got {r_max}")
-
-
 def _check_delta(delta: float) -> None:
     # written so that NaN fails too
     if not delta >= 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
 
 
-def _param_snapshot(params, delays, lam, delta, r_max) -> dict[str, Any]:
+def _param_snapshot(params, delays, lam, delta) -> dict[str, Any]:
     return {
         "m": params.m,
         "d": params.d,
         "delays": list(delays.delays),
         "lambda": lam,
         "delta": delta,
-        "r_max": r_max,
     }
 
 
@@ -259,7 +254,6 @@ def infer_network(
     delays: DelayGrid,
     lam: float = DEFAULT_LAMBDA,
     delta: float = DEFAULT_DELTA,
-    r_max: int = DEFAULT_R_MAX,
     one_delay_per_pair: bool = False,
 ) -> CausalNetwork:
     """Full pipeline: encode, pairwise entropies, threshold, prune, edge list.
@@ -268,13 +262,12 @@ def infer_network(
     delay for each directed pair, which suits systems whose coupling acts
     through a smooth response so several neighboring lags pass the tests.
     """
-    _check_r_max(r_max)
     _check_delta(delta)
     pi, tensor = candidate_tensor(series, params, delays, lam)
-    rows = prune_tensor(pi, tensor, delta, r_max)
+    rows = prune_tensor(pi, tensor, delta)
     kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]
     return CausalNetwork(
         edges=_edges(kept, tensor.h_max, one_per_pair=one_delay_per_pair),
         h_max=tensor.h_max,
-        params=_param_snapshot(params, delays, lam, delta, r_max),
+        params=_param_snapshot(params, delays, lam, delta),
     )

@@ -5,8 +5,8 @@ sample, written with 17 significant digits for exact round-trips and read
 back by np.loadtxt (no blank lines; a bad cell is named by row and column).
 Ground truth and networks travel as JSON. Every run writes a manifest with
 the full configuration and seed. Flag values override config-file values,
-which override defaults; M, d and r_max must be integers, lambda and
-delta numbers.
+which override defaults; M and d must be integers, lambda and delta
+numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .causal import CausalNetwork, infer_network
-from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DEFAULT_R_MAX, DelayGrid
+from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
 from .errors import OpcausalError
 from .evaluate import SYSTEMS, _system, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
@@ -33,7 +33,6 @@ DEFAULTS = {
     "d": 100,
     "lambda": DEFAULT_LAMBDA,
     "delta": DEFAULT_DELTA,
-    "r_max": DEFAULT_R_MAX,
     "delays": "1-10",
 }
 
@@ -227,14 +226,13 @@ def _number(cfg: dict, key: str) -> float:
 
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings."""
-    cfg = _merge_config(args, ["M", "d", "lambda", "delta", "r_max", "delays"])
+    cfg = _merge_config(args, ["M", "d", "lambda", "delta", "delays"])
     series = read_series_csv(args.input, sample_rate=args.sample_rate)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
     settings = {
         "lam": _number(cfg, "lambda"),
         "delta": _number(cfg, "delta"),
-        "r_max": _integer(cfg, "r_max"),
     }
     return cfg, series, params, delays, settings
 
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int)
         p.add_argument("--lambda", dest="lambda_", type=float)
         p.add_argument("--delta", type=float)
-        p.add_argument("--r-max", dest="r_max", type=int)
         p.add_argument("--delays", help="'a-b[:step]' or comma list")
         p.add_argument("--delays-in-ms", action="store_true")
         p.add_argument("--sample-rate", type=float)

@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .causal import CausalNetwork, infer_network
-from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DEFAULT_R_MAX, DelayGrid
+from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
 from .errors import ChannelMismatch, WindowTooShort
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
@@ -223,8 +223,8 @@ def run_realization(
 
     The cell sets the simulator's keys and NL, lambda and delta; the
     decimation, delay grid, d and one_delay_per_pair come from SYSTEMS, with
-    m = 3 and the default r_max. For "nmm", a `nmm_config` of None means the
-    reproduction configuration. Any other cell key raises ValueError.
+    m = 3. For "nmm", a `nmm_config` of None means the reproduction
+    configuration. Any other cell key raises ValueError.
     """
     spec = _system(system, cell)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
@@ -310,7 +310,6 @@ def windowed_analysis(
     delays: DelayGrid,
     lam: float = DEFAULT_LAMBDA,
     delta: float = DEFAULT_DELTA,
-    r_max: int = DEFAULT_R_MAX,
 ) -> list[tuple[float, CausalNetwork]]:
     """(window midpoint in s, inferred network) for each sliding window, in order."""
     if series.sample_rate is None:
@@ -333,6 +332,6 @@ def windowed_analysis(
             sample_rate=fs,
             channel_names=list(series.channel_names),
         )
-        network = infer_network(chunk, params, delays, lam=lam, delta=delta, r_max=r_max)
+        network = infer_network(chunk, params, delays, lam=lam, delta=delta)
         windows.append(((start + win_len / 2.0) / fs, network))
     return windows

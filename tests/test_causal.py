@@ -93,7 +93,7 @@ class TestMinimalConditioningSet:
             },
             n_channels=5,
         )
-        p_min = minimal_conditioning_set(tensor, 4, 0, r_max=2)
+        p_min = minimal_conditioning_set(tensor, 4, 0, size=2)
         assert p_min.members == ((1, 1), (2, 1))
 
 
@@ -132,7 +132,7 @@ class TestReliableConditioningSize:
     def test_long_series_reaches_r_max(self, rng):
         symbols = rng.integers(0, 6, size=(80_000, 2))
         pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
-        assert reliable_conditioning_size(pi, r_max=3) == 3
+        assert reliable_conditioning_size(pi) == 3
 
 
 class TestPipeline:
@@ -147,18 +147,6 @@ class TestPipeline:
             minimal_conditioning_set(raw, 0, 1)
         with pytest.raises(ValueError, match="thresholded"):
             prune_tensor(pi, raw, delta=0.15)
-
-    @pytest.mark.parametrize("r_max", [0, -1])
-    def test_r_max_below_one_is_rejected_before_any_entropy(
-        self, random_series, monkeypatch, r_max
-    ):
-        params, grid = EmbeddingParams(m=3, d=2), DelayGrid([1, 2])
-        pi, tensor = candidate_tensor(random_series, params, grid)
-        with pytest.raises(ValueError, match="r_max must be at least 1"):
-            prune_tensor(pi, tensor, delta=0.15, r_max=r_max)
-        monkeypatch.setattr(causal, "ce_tensor", None)  # computing entropies fails
-        with pytest.raises(ValueError, match="r_max must be at least 1"):
-            infer_network(random_series, params, grid, r_max=r_max)
 
     @pytest.mark.parametrize("delta", [-1.0, float("nan")])
     def test_bad_delta_is_rejected_before_any_entropy(self, monkeypatch, delta):
@@ -324,7 +312,7 @@ class TestPruneWorkCounts:
         want = []
         for m, n, j in zip(*np.nonzero(tensor.candidates())):
             m, n, tau = int(m), int(n), grid.delays[j]
-            p_min = minimal_conditioning_set(tensor, m, n, r_max=r_eff)
+            p_min = minimal_conditioning_set(tensor, m, n, size=r_eff)
             _, eps = epsilon_test(pi, m, n, tau, p_min, delta=0.15)
             want.append(Evidence(n, m, tau, float(tensor.values[m, n, j]), p_min, eps))
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from opcausal import MultivariateSeries, causal
+from opcausal import MultivariateSeries
 from opcausal.cli import (
     main,
     parse_delays,
@@ -321,21 +321,10 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert not net.exists()
 
-    def test_r_max_below_one_exits_before_any_entropy(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "run"
-        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
-        capsys.readouterr()
-        monkeypatch.setattr(causal, "ce_tensor", None)  # computing entropies fails
-        net = tmp_path / "net.json"
-        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
-        assert main([*argv, "--r-max", "0"]) == 1
-        assert capsys.readouterr().err == "error: r_max must be at least 1, got 0\n"
-        assert not net.exists()
-
     @pytest.mark.parametrize(
         "content, message",
         [
-            ({"r_max": 2.7}, "r_max must be an integer, got 2.7"),
+            ({"d": 2.5}, "d must be an integer, got 2.5"),
             ({"M": 3.9}, "M must be an integer, got 3.9"),
             ({"M": True}, "M must be an integer, got True"),
             ({"d": "100"}, "d must be an integer, got '100'"),
@@ -402,14 +391,14 @@ class TestCommands:
     )
     def test_config_integer_written_as_a_whole_float_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"M": 3.0, "r_max": 2.0}))
+        cfg.write_text(json.dumps({"M": 3.0, "d": 1.0}))
         out = tmp_path / "run"
         main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
         net = tmp_path / "net.json"
         argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
         assert main([*argv, "--config", str(cfg), "--delays", "1-3"]) == 0
         params = json.loads(net.read_text())["params"]
-        assert params["m"] == 3 and params["r_max"] == 2
+        assert params["m"] == 3 and params["d"] == 1
 
     def test_windowed_writes_normalized_strengths(self, tmp_path):
         out = tmp_path / "run"
@@ -430,7 +419,7 @@ class TestCommands:
         manifest = json.loads((tmp_path / "windows.manifest.json").read_text())
         assert set(manifest) == {
             "command", "input", "window_s", "overlap", "sample_rate", "M", "d",
-            "lambda", "delta", "r_max", "delays", "tool_version", "window_mid_s",
+            "lambda", "delta", "delays", "tool_version", "window_mid_s",
         }
         assert manifest["command"] == "windowed" and manifest["sample_rate"] == 200.0
         # 30 s at 200 Hz in 20 s windows at the default 50% overlap

@@ -43,7 +43,7 @@ def per_pair_epsilon(series, params, grid, delta, pairs):
             out[(src, tgt)] = None
             continue
         tau = grid.delays[int(np.argmin(tensor.values[tgt, src, :]))]
-        p_min = minimal_conditioning_set(tensor, tgt, src, r_max=r)
+        p_min = minimal_conditioning_set(tensor, tgt, src, size=r)
         out[(src, tgt)] = epsilon_test(pi, tgt, src, tau, p_min, delta)[1]
     return out
 
