@@ -226,7 +226,7 @@ def _number(cfg: dict, key: str) -> float:
 
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings."""
-    cfg = _merge_config(args, ["M", "d", "lambda", "delta", "delays"])
+    cfg = _merge_config(args, list(DEFAULTS))
     series = read_series_csv(args.input, sample_rate=args.sample_rate)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))

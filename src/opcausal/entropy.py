@@ -234,12 +234,16 @@ def threshold(tensor: CETensor, lam: float) -> CETensor:
 
     Idempotent; entries below the cut are untouched.
     """
-    if not (0.0 < lam <= 1.0):
-        raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
+    _check_lambda(lam)
     out = tensor.copy()
     out.values[out.values >= lam * tensor.h_max] = tensor.h_max
     out.thresholded = True
     return out
+
+
+def _check_lambda(lam: float) -> None:
+    if not (0.0 < lam <= 1.0):
+        raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
 
 
 def _joint_codes(pi: PatternMatrix, members, t_start: int, target: int) -> np.ndarray:

@@ -20,13 +20,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .causal import CausalNetwork, infer_network
-from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
+from .causal import CausalNetwork, _check_delta, infer_network
+from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid, _check_lambda
 from .errors import ChannelMismatch, WindowTooShort
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
     GroundTruth,
     NmmConfig,
+    _check_noise_level,
     add_observation_noise,
     reproduction_nmm_config,
     simulate_ar,
@@ -199,15 +200,15 @@ SYSTEMS: dict[str, System] = {
     ),
 }
 
-# the cell keys run_realization reads for every system
-_PIPELINE_KEYS = frozenset(("NL", "lambda", "delta"))
+# the cell keys run_realization reads for every system, each with its check
+_PIPELINE_KEYS = {"NL": _check_noise_level, "lambda": _check_lambda, "delta": _check_delta}
 
 
 def _system(name: str, keys) -> System:
     """SYSTEMS[name], after checking that some part of a cell reads each key."""
     if name not in SYSTEMS:
         raise ValueError(f"unknown system {name!r}")
-    unread = sorted(set(keys) - _PIPELINE_KEYS - set(SYSTEMS[name].reads))
+    unread = sorted(set(keys) - _PIPELINE_KEYS.keys() - set(SYSTEMS[name].reads))
     if unread:
         raise ValueError(f"system {name!r} reads no cell key {', '.join(unread)}")
     return SYSTEMS[name]
@@ -290,7 +291,11 @@ def sweep(
     """Evaluate every cell of the cartesian product of the grid axes, in order."""
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    _system(system, grid)  # an unread axis fails before any realization runs
+    # an unread axis or a bad setting fails before any realization runs
+    _system(system, grid)
+    for key, check in _PIPELINE_KEYS.items():
+        for value in grid.get(key, ()):
+            check(value)
     if n_realizations < 1:
         raise ValueError("need at least one realization per cell")
     axes = sorted(grid)
@@ -323,6 +328,11 @@ def windowed_analysis(
         raise WindowTooShort(
             f"window of {win_len} samples is too short; minimum is {min_len} samples "
             f"({min_len / fs:.3f} s)"
+        )
+    if series.n_samples < win_len:
+        raise WindowTooShort(
+            f"recording of {series.n_samples} samples is shorter than one window "
+            f"of {win_len} samples"
         )
     step = max(1, int(round(win_len * (1.0 - overlap))))
     windows = []

@@ -57,6 +57,10 @@ class MultivariateSeries:
             raise ValueError("series data must be a T x N matrix")
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteValue("series contains NaN or infinite samples")
+        if self.sample_rate is not None and not 0 < self.sample_rate < np.inf:
+            raise ValueError(
+                f"sample rate must be a positive finite number, got {self.sample_rate}"
+            )
         if not self.channel_names:
             self.channel_names = [f"x{n + 1}" for n in range(self.data.shape[1])]
         if len(self.channel_names) != self.data.shape[1]:

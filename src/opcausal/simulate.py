@@ -420,12 +420,17 @@ def simulate_nmm(
     return MultivariateSeries(data=data, sample_rate=cfg.sample_rate), truth
 
 
+def _check_noise_level(beta: float) -> None:
+    # written so that NaN fails too
+    if not beta >= 0:
+        raise ValueError(f"noise level must be non-negative, got {beta}")
+
+
 def add_observation_noise(
     series: MultivariateSeries, beta: float, seed: int
 ) -> MultivariateSeries:
     """Additive Gaussian noise scaled per channel by beta times its std."""
-    if beta < 0:
-        raise ValueError("noise level must be non-negative")
+    _check_noise_level(beta)
     if beta == 0:
         return MultivariateSeries(
             data=series.data.copy(),

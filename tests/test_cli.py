@@ -287,7 +287,8 @@ class TestCommands:
         assert payload["params"]["d"] == 1  # config file wins over default
 
     @pytest.mark.parametrize(
-        "content,message", [({"lamda": 0.5}, "lamda"), ([1, 2], "JSON object")]
+        "content,message",
+        [({"lamda": 0.5}, "lamda"), ([1, 2], "JSON object"), ({"r_max": 3}, "r_max")],
     )
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -425,6 +426,36 @@ class TestCommands:
         # 30 s at 200 Hz in 20 s windows at the default 50% overlap
         assert manifest["window_mid_s"] == [10.0, 20.0]
 
+    def test_windowed_recording_shorter_than_a_window_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        windows = tmp_path / "windows.csv"
+        argv = ["windowed", "--input", str(out.with_suffix(".csv")), "--out", str(windows)]
+        argv += ["--sample-rate", "100", "--window-s", "10", "--d", "1", "--delays", "1-3"]
+        assert main([*argv, "--delta", "-5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: recording of 500 samples is shorter than one window of 1000 samples\n"
+        )
+        assert not windows.exists()
+        assert not windows.with_suffix(".manifest.json").exists()
+
+    @pytest.mark.parametrize("rate", ["0", "-100", "nan"])
+    @pytest.mark.parametrize("command", ["infer", "windowed"])
+    def test_sample_rate_that_is_not_positive_and_finite_is_an_error(
+        self, tmp_path, capsys, command, rate
+    ):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        result = tmp_path / "result.csv"
+        argv = [command, "--input", str(out.with_suffix(".csv")), "--out", str(result)]
+        assert main([*argv, "--sample-rate", rate]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sample rate must be a positive finite number, got {float(rate)}\n"
+        assert not result.exists()
+        assert not result.with_suffix(".manifest.json").exists()
+
     def test_windowed_needs_a_sample_rate(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
@@ -507,6 +538,24 @@ class TestCommands:
         assert main(["simulate", *argv, "--T", "300", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert {k: manifest[k] for k in ("T", "c", "K") if k in manifest} == recorded
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--delta", "-0.1", "delta must be non-negative, got -0.1"),
+            ("--delta", "nan", "delta must be non-negative, got nan"),
+            ("--lambda", "1.5", "lambda must be in (0, 1], got 1.5"),
+            ("--NL", "-1", "noise level must be non-negative, got -1.0"),
+        ],
+    )
+    def test_sweep_bad_setting_fails_before_any_realization(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--system", "ar", "--T", "300", "--R", "2", flag, value]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_sweep_threads_below_one_is_an_error(self, tmp_path, capsys, threads):

@@ -263,14 +263,20 @@ class TestWindowedAnalysis:
             )
 
     def test_window_too_short(self, rng):
-        series = MultivariateSeries(
-            data=rng.standard_normal((1000, 2)), sample_rate=100.0
-        )
-        with pytest.raises(WindowTooShort):
-            windowed_analysis(
-                series,
-                window_s=0.05,
-                overlap=0.0,
-                params=EmbeddingParams(m=3, d=1),
-                delays=DelayGrid([1, 2, 3]),
+        # a window shorter than one pattern and the largest lag, then a
+        # recording shorter than one window
+        for n_samples, window_s, message in [
+            (1000, 0.05, "window of 5 samples is too short; minimum is 7 samples"),
+            (500, 10.0, "recording of 500 samples is shorter than one window of 1000"),
+        ]:
+            series = MultivariateSeries(
+                data=rng.standard_normal((n_samples, 2)), sample_rate=100.0
             )
+            with pytest.raises(WindowTooShort, match=message):
+                windowed_analysis(
+                    series,
+                    window_s=window_s,
+                    overlap=0.0,
+                    params=EmbeddingParams(m=3, d=1),
+                    delays=DelayGrid([1, 2, 3]),
+                )

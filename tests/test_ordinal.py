@@ -159,3 +159,8 @@ class TestParams:
 
     def test_span(self):
         assert EmbeddingParams(m=3, d=100).span == 200
+
+    @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
+    def test_sample_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="sample rate must be a positive finite number"):
+            MultivariateSeries(data=np.zeros((10, 2)), sample_rate=rate)

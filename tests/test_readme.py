@@ -5,7 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from opcausal.cli import build_parser, main
+from opcausal.cli import DEFAULTS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +42,9 @@ def test_command_lines_parse():
     parser = build_parser()
     commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     assert commands == {"simulate", "infer", "sweep", "windowed"}
+
+
+def test_config_keys_match_the_defaults():
+    pattern = r"A `--config` file may hold only the keys (.*?);"
+    (keys,) = re.findall(pattern, README.read_text(), flags=re.S)
+    assert re.findall(r"`([^`]+)`", keys) == list(DEFAULTS)
