@@ -29,7 +29,6 @@ from .ordinal import (
     build_moptn,
     decimate,
     embed,
-    encode_pattern,
     encode_series,
 )
 from .simulate import (
@@ -63,7 +62,6 @@ __all__ = [
     "conditional_entropy_given_set",
     "decimate",
     "embed",
-    "encode_pattern",
     "encode_series",
     "epsilon_test",
     "infer_network",

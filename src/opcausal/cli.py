@@ -182,27 +182,23 @@ def parse_delays(spec: str, sample_rate: float | None, in_ms: bool) -> DelayGrid
     return DelayGrid(samples)
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """flags > config file > defaults."""
-    merged = {k: DEFAULTS.get(k) for k in keys}
-    if getattr(args, "config", None):
+    merged = dict(DEFAULTS)
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise OpcausalError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(file_cfg) - set(keys))
+        unknown = sorted(set(file_cfg) - set(DEFAULTS))
         if unknown:
             raise OpcausalError(
-                f"{args.config}: unknown key(s) {', '.join(unknown)}; known: {', '.join(keys)}"
+                f"{args.config}: unknown key(s) {', '.join(unknown)}; known: {', '.join(DEFAULTS)}"
             )
-        for k in keys:
-            if k in file_cfg:
-                merged[k] = file_cfg[k]
-    for k in keys:
-        attr = "lambda_" if k == "lambda" else k
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            merged[k] = flag
+        merged.update(file_cfg)
+    for k in DEFAULTS:
+        if getattr(args, k) is not None:
+            merged[k] = getattr(args, k)
     return merged
 
 
@@ -226,7 +222,7 @@ def _number(cfg: dict, key: str) -> float:
 
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings."""
-    cfg = _merge_config(args, list(DEFAULTS))
+    cfg = _merge_config(args)
     series = read_series_csv(args.input, sample_rate=args.sample_rate)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
@@ -253,8 +249,7 @@ def cmd_simulate(args) -> int:
     system = _system(args.system, flags)
     cell = {**system.reads, "T": args.T, **flags}
     series, truth = system.simulate(cell, seed, _nmm_config(args))
-    if args.noise_level:
-        series = add_observation_noise(series, args.noise_level, seed + 1)
+    series = add_observation_noise(series, args.noise_level, seed + 1)
     write_series_csv(series, out.with_suffix(".csv"))
     write_truth_json(truth, out.with_suffix(".truth.json"))
     write_manifest(
@@ -289,7 +284,7 @@ def cmd_infer(args) -> int:
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise OpcausalError(f"--threads must be at least 1, got {args.threads}")
-    flags = {"delta": args.delta, "T": args.T, "NL": args.NL, "lambda": args.lambda_, "K": args.K}
+    flags = {k: getattr(args, k) for k in ("delta", "T", "NL", "lambda", "K")}
     grid = {k: _parse_list(v, int if k == "T" else float) for k, v in flags.items() if v}
     if not grid:
         raise OpcausalError("sweep needs at least one axis (--delta/--T/--NL/--lambda/--K)")
@@ -386,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         p.add_argument("--M", type=int)
         p.add_argument("--d", type=int)
-        p.add_argument("--lambda", dest="lambda_", type=float)
+        p.add_argument("--lambda", type=float)
         p.add_argument("--delta", type=float)
         p.add_argument("--delays", help="'a-b[:step]' or comma list")
         p.add_argument("--delays-in-ms", action="store_true")
@@ -403,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta", help="comma list")
     p_sweep.add_argument("--T", help="comma list")
     p_sweep.add_argument("--NL", help="comma list")
-    p_sweep.add_argument("--lambda", dest="lambda_", help="comma list")
+    p_sweep.add_argument("--lambda", help="comma list")
     p_sweep.add_argument("--K", help="comma list")
     p_sweep.add_argument("--R", type=int, default=10, help="realizations per cell")
     p_sweep.add_argument("--seed", type=int, default=0)

@@ -90,9 +90,6 @@ class CETensor:
             raise ValueError("candidate links need a thresholded tensor")
         return self.values < self.h_max
 
-    def copy(self) -> "CETensor":
-        return replace(self, values=self.values.copy())
-
 
 @dataclass(frozen=True)
 class ConditioningSet:
@@ -235,10 +232,8 @@ def threshold(tensor: CETensor, lam: float) -> CETensor:
     Idempotent; entries below the cut are untouched.
     """
     _check_lambda(lam)
-    out = tensor.copy()
-    out.values[out.values >= lam * tensor.h_max] = tensor.h_max
-    out.thresholded = True
-    return out
+    v, h_max = tensor.values, tensor.h_max
+    return replace(tensor, values=np.where(v >= lam * h_max, h_max, v), thresholded=True)
 
 
 def _check_lambda(lam: float) -> None:

@@ -231,12 +231,11 @@ def run_realization(
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
     noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
     factor = spec.decimate
-    if factor > 1:
-        noisy = decimate(noisy, factor)
-        truth = GroundTruth(
-            edges=[(s, tg, max(1, int(round(dl / factor)))) for s, tg, dl in truth.edges],
-            description=truth.description,
-        )
+    noisy = decimate(noisy, factor)
+    truth = GroundTruth(
+        edges=[(s, tg, max(1, int(round(dl / factor)))) for s, tg, dl in truth.edges],
+        description=truth.description,
+    )
     delays = DelayGrid(spec.delays(noisy.sample_rate))
     network = infer_network(
         noisy,

@@ -55,6 +55,8 @@ class MultivariateSeries:
             self.data = self.data[:, None]
         if self.data.ndim != 2:
             raise ValueError("series data must be a T x N matrix")
+        if self.data.shape[1] == 0:
+            raise ValueError("series data needs at least one column")
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteValue("series contains NaN or infinite samples")
         if self.sample_rate is not None and not 0 < self.sample_rate < np.inf:
@@ -141,15 +143,6 @@ def embed(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _rank_permutations(vectors: np.ndarray) -> np.ndarray:
-    """Stable argsort of each row: position of the smallest component first.
-
-    Ties are resolved toward the earlier time index, which is exactly the
-    required tie rule.
-    """
-    return np.argsort(vectors, axis=1, kind="stable")
-
-
 def _lehmer_index(perms: np.ndarray) -> np.ndarray:
     """Lexicographic rank of each permutation row (Lehmer code)."""
     m = perms.shape[1]
@@ -160,30 +153,15 @@ def _lehmer_index(perms: np.ndarray) -> np.ndarray:
     return code
 
 
-def encode_pattern(z: np.ndarray) -> int:
-    """Map one embedding vector to its ordinal pattern index in [0, m!-1]."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError("encode_pattern expects a vector of length >= 2")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteValue("embedding vector contains NaN or infinite values")
-    perm = _rank_permutations(z[None, :])
-    return int(_lehmer_index(perm)[0])
-
-
 def encode_series(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     """Ordinal symbol sequence of a single channel."""
-    vectors = embed(x, params)
-    return _lehmer_index(_rank_permutations(vectors))
+    # a stable argsort puts the smallest component first and resolves ties
+    # toward the earlier time index, which is exactly the required tie rule
+    return _lehmer_index(np.argsort(embed(x, params), axis=1, kind="stable"))
 
 
 def build_moptn(series: MultivariateSeries, params: EmbeddingParams) -> PatternMatrix:
     """Encode every channel of a multivariate series into a PatternMatrix."""
-    if series.n_samples <= params.span:
-        raise SeriesTooShort(
-            f"need at least {params.span + 1} samples for m={params.m}, d={params.d}; "
-            f"got {series.n_samples}"
-        )
     symbols = np.stack(
         [encode_series(series.data[:, n], params) for n in range(series.n_channels)]
     )

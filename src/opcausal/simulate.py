@@ -267,14 +267,11 @@ def draw_nmm_graph(n_regions: int, k_percent: float, rng: np.random.Generator) -
     simulation but are not reported as ground-truth edges.
     """
     n_edges = int(k_percent * n_regions * n_regions / 100.0)
-    pairs = [(i, j) for i in range(n_regions) for j in range(n_regions)]
-    if n_edges > len(pairs):
+    if n_edges > n_regions * n_regions:
         raise ValueError("requested connection density exceeds the number of pairs")
-    chosen = rng.choice(len(pairs), size=n_edges, replace=False)
     adj = np.zeros((n_regions, n_regions), dtype=float)
-    for idx in chosen:
-        i, j = pairs[idx]
-        adj[i, j] = 1.0
+    # flat index i * n + j is the ordered pair (i, j)
+    adj.flat[rng.choice(n_regions * n_regions, size=n_edges, replace=False)] = 1.0
     return adj
 
 
