@@ -246,7 +246,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     seed = args.seed
     flags = {k: v for k, v in (("c", args.c), ("K", args.K)) if v is not None}
-    system = _system(args.system, flags)
+    system = _system(args.system, flags, args.nmm_config)
     cell = {**system.reads, "T": args.T, **flags}
     series, truth = system.simulate(cell, seed, _nmm_config(args))
     series = add_observation_noise(series, args.noise_level, seed + 1)
@@ -282,8 +282,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise OpcausalError(f"--threads must be at least 1, got {args.threads}")
     flags = {k: getattr(args, k) for k in ("delta", "T", "NL", "lambda", "K")}
     grid = {k: _parse_list(v, int if k == "T" else float) for k, v in flags.items() if v}
     if not grid:
@@ -316,7 +314,14 @@ def cmd_sweep(args) -> int:
     )
     write_manifest(
         out.with_suffix(".manifest.json"),
-        {"command": "sweep", "system": args.system, "grid": grid, "R": args.R, "seed": args.seed},
+        {
+            "command": "sweep",
+            "system": args.system,
+            "grid": grid,
+            "R": args.R,
+            "seed": args.seed,
+            **({"nmm_config": args.nmm_config} if args.nmm_config else {}),
+        },
     )
     print(f"{len(cells)} cells -> {out.with_suffix('.csv')}")
     return 0

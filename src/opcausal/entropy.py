@@ -20,6 +20,7 @@ from .errors import (
     DegenerateSample,
     InvalidLambda,
     LagTooLarge,
+    TooFewChannels,
 )
 from .ordinal import PatternMatrix, _check_symbols
 
@@ -170,6 +171,8 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
     n = pi.n_channels
     f = pi.n_patterns
     h_max = log2(f)
+    if n < 2:
+        raise TooFewChannels(f"pairwise entropies need at least two channels, got {n}")
     if delays.max_delay >= pi.n_times:
         raise LagTooLarge(
             f"max delay {delays.max_delay} exceeds symbol sequence length {pi.n_times}"

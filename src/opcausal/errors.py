@@ -45,5 +45,9 @@ class ChannelMismatch(OpcausalError):
     pass
 
 
+class TooFewChannels(OpcausalError):
+    pass
+
+
 class WindowTooShort(OpcausalError):
     pass

@@ -27,6 +27,7 @@ from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
     GroundTruth,
     NmmConfig,
+    _check_n_samples,
     _check_noise_level,
     add_observation_noise,
     reproduction_nmm_config,
@@ -137,8 +138,9 @@ class System:
     """What the harness knows of one benchmark system.
 
     `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`, which
-    holds their defaults; `delays(fs)` is the delay grid at the sample rate
-    left after decimation. The rest are the pipeline's settings for the system.
+    holds their defaults, and reads nmm_config only if `takes_nmm_config`;
+    `delays(fs)` is the delay grid at the sample rate left after decimation.
+    The rest are the pipeline's settings for the system.
     """
 
     reads: dict[str, float]
@@ -150,6 +152,7 @@ class System:
     d: int
     delay_sensitive: bool
     one_delay_per_pair: bool
+    takes_nmm_config: bool = False
 
 
 def _first_ten_samples(fs: float | None) -> range:
@@ -197,20 +200,28 @@ SYSTEMS: dict[str, System] = {
         d=1,
         delay_sensitive=True,
         one_delay_per_pair=True,
+        takes_nmm_config=True,
     ),
 }
 
 # the cell keys run_realization reads for every system, each with its check
-_PIPELINE_KEYS = {"NL": _check_noise_level, "lambda": _check_lambda, "delta": _check_delta}
+_PIPELINE_KEYS = {
+    "T": _check_n_samples,
+    "NL": _check_noise_level,
+    "lambda": _check_lambda,
+    "delta": _check_delta,
+}
 
 
-def _system(name: str, keys) -> System:
-    """SYSTEMS[name], after checking that some part of a cell reads each key."""
+def _system(name: str, keys, nmm_config=None) -> System:
+    """SYSTEMS[name], after checking that it reads each cell key and the config."""
     if name not in SYSTEMS:
         raise ValueError(f"unknown system {name!r}")
     unread = sorted(set(keys) - _PIPELINE_KEYS.keys() - set(SYSTEMS[name].reads))
     if unread:
         raise ValueError(f"system {name!r} reads no cell key {', '.join(unread)}")
+    if nmm_config is not None and not SYSTEMS[name].takes_nmm_config:
+        raise ValueError(f"system {name!r} reads no neural-mass config")
     return SYSTEMS[name]
 
 
@@ -225,9 +236,10 @@ def run_realization(
     The cell sets the simulator's keys and NL, lambda and delta; the
     decimation, delay grid, d and one_delay_per_pair come from SYSTEMS, with
     m = 3. For "nmm", a `nmm_config` of None means the reproduction
-    configuration. Any other cell key raises ValueError.
+    configuration. Any other cell key, or a config for another system,
+    raises ValueError.
     """
-    spec = _system(system, cell)
+    spec = _system(system, cell, nmm_config)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
     noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
     factor = spec.decimate
@@ -291,12 +303,14 @@ def sweep(
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     # an unread axis or a bad setting fails before any realization runs
-    _system(system, grid)
+    _system(system, grid, nmm_config)
     for key, check in _PIPELINE_KEYS.items():
         for value in grid.get(key, ()):
             check(value)
     if n_realizations < 1:
         raise ValueError("need at least one realization per cell")
+    if max_workers < 1:
+        raise ValueError(f"--threads must be at least 1, got {max_workers}")
     axes = sorted(grid)
     cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
     tasks = [(system, c, n_realizations, base_seed, nmm_config) for c in cells]
@@ -320,6 +334,8 @@ def windowed_analysis(
         raise ValueError("windowed analysis requires a sample rate")
     if not (0.0 <= overlap < 1.0):
         raise ValueError("overlap must be in [0, 1)")
+    if not 0.0 < window_s < np.inf:
+        raise ValueError(f"window_s must be a positive finite number of seconds, got {window_s}")
     fs = series.sample_rate
     win_len = int(round(window_s * fs))
     min_len = params.span + delays.max_delay + 2

@@ -60,6 +60,11 @@ AR_NOISE_SCALE = 0.4
 AR_N_CHANNELS = 9
 
 
+def _check_n_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"need at least 1 sample, got {n_samples}")
+
+
 def simulate_ar(
     n_samples: int,
     seed: int,
@@ -142,6 +147,7 @@ def simulate_lorenz_chain(
     after the transient. Ground truth is 1 -> 2 -> 3; the coupling is
     continuous, so the listed delay is the nominal 1 sample.
     """
+    _check_n_samples(n_samples)
     if c < 0:
         raise ValueError("coupling strength must be non-negative")
     rng = np.random.default_rng(seed)
@@ -304,6 +310,7 @@ def simulate_nmm(
     holds delay_ms minus that rise time; the lag at which the target output
     tracks the source is then delay_ms itself.
     """
+    _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
     n = cfg.n_regions
     if adjacency is None:

@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opcausal
 from opcausal import MultivariateSeries
 from opcausal.cli import (
     main,
@@ -18,6 +20,8 @@ from opcausal.cli import (
 )
 from opcausal.errors import NonFiniteValue, OpcausalError
 from opcausal.simulate import GroundTruth, simulate_ar
+
+NMM_CONFIG = Path(opcausal.__file__).parent / "configs" / "nmm_reproduction.json"
 
 
 @pytest.mark.filterwarnings("error")
@@ -440,6 +444,22 @@ class TestCommands:
         assert not windows.exists()
         assert not windows.with_suffix(".manifest.json").exists()
 
+    @pytest.mark.parametrize("window_s", ["inf", "nan", "0"])
+    def test_windowed_length_that_is_not_positive_and_finite_is_an_error(
+        self, tmp_path, capsys, window_s
+    ):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        windows = tmp_path / "windows.csv"
+        argv = ["windowed", "--input", str(out.with_suffix(".csv")), "--out", str(windows)]
+        assert main([*argv, "--sample-rate", "100", "--window-s", window_s]) == 1
+        assert capsys.readouterr().err == (
+            "error: window_s must be a positive finite number of seconds, "
+            f"got {float(window_s)}\n"
+        )
+        assert not windows.exists()
+
     @pytest.mark.parametrize("rate", ["0", "-100", "nan"])
     @pytest.mark.parametrize("command", ["infer", "windowed"])
     def test_sample_rate_that_is_not_positive_and_finite_is_an_error(
@@ -523,6 +543,47 @@ class TestCommands:
         assert rc == 1
         assert f"reads no cell key {flag[2:]}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("system", ["ar", "lorenz"])
+    def test_nmm_config_for_another_system_is_an_error(self, tmp_path, capsys, command, system):
+        argv = [command, "--system", system, "--T", "300", "--nmm-config", str(NMM_CONFIG)]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: system '{system}' reads no neural-mass config\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # 300 samples decimate to 60, too few for a reliable estimate
+    @pytest.mark.filterwarnings("ignore:only .* samples:RuntimeWarning")
+    def test_sweep_manifest_records_the_nmm_config(self, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--system", "nmm", "--T", "300", "--R", "1", "--out", str(out)]
+        assert main([*argv, "--nmm-config", str(NMM_CONFIG)]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["nmm_config"] == str(NMM_CONFIG)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--system", "lorenz", "--T", "0"],
+            ["simulate", "--system", "nmm", "--T", "0"],
+            ["simulate", "--system", "lorenz", "--T", "-5"],
+            ["sweep", "--system", "lorenz", "--T", "0", "--R", "1"],
+        ],
+    )
+    def test_fewer_than_one_sample_is_an_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: need at least 1 sample, got {argv[4]}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("m", ["3", "4"])
+    def test_infer_on_one_channel_is_an_error(self, tmp_path, capsys, rng, m):
+        path = tmp_path / "one.csv"
+        write_series_csv(MultivariateSeries(data=rng.standard_normal((200, 1))), path)
+        out = tmp_path / "net.json"
+        assert main(["infer", "--input", str(path), "--out", str(out), "--M", m, "--d", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: pairwise entropies need at least two channels, got 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, recorded",

@@ -27,6 +27,7 @@ from opcausal.errors import (
     ConditioningTooLarge,
     InvalidLambda,
     LagTooLarge,
+    TooFewChannels,
 )
 from opcausal.ordinal import PatternMatrix
 
@@ -228,6 +229,14 @@ class TestSymbolLayout:
 
 
 class TestCETensor:
+    # m=3 counts by matrix product, m=4 by the per-pair loop
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_one_channel_is_an_error(self, rng, m):
+        series = MultivariateSeries(data=rng.standard_normal((200, 1)))
+        pi = build_moptn(series, EmbeddingParams(m=m, d=1))
+        with pytest.raises(TooFewChannels, match="at least two channels, got 1"):
+            ce_tensor(pi, DelayGrid([1, 2]))
+
     def test_shape_and_diagonal(self, random_series):
         pi = build_moptn(random_series, EmbeddingParams(m=3, d=2))
         t = ce_tensor(pi, DelayGrid([1, 2, 5]))

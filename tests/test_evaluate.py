@@ -145,6 +145,11 @@ class TestRunRealization:
         with pytest.raises(ValueError, match=f"reads no cell key {key}"):
             run_realization(system, {"T": 300, key: 1.0}, seed=0)
 
+    @pytest.mark.parametrize("system", ["ar", "lorenz"])
+    def test_config_the_system_ignores(self, system):
+        with pytest.raises(ValueError, match=f"system '{system}' reads no neural-mass config"):
+            run_realization(system, {"T": 300}, seed=0, nmm_config=reproduction_nmm_config())
+
 
 class TestSystems:
     CELL = {"T": 300, "c": 0.4, "K": 5.0}
@@ -206,6 +211,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="reads no cell key K"):
             sweep("ar", {"K": [1.0, 5.0], "delta": [0.15]}, 1, base_seed=0)
 
+    @pytest.mark.parametrize(
+        "grid,kwargs,message",
+        [
+            ({"T": [300, 0]}, {}, "need at least 1 sample, got 0"),
+            ({"T": [-5]}, {}, "need at least 1 sample, got -5"),
+            ({"T": [300]}, {"max_workers": 0}, "--threads must be at least 1, got 0"),
+            ({"T": [300]}, {"nmm_config": reproduction_nmm_config()}, "reads no neural-mass"),
+        ],
+    )
+    def test_bad_setting_fails_before_any_realization(self, monkeypatch, grid, kwargs, message):
+        def run_cell(args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(evaluate, "_run_cell", run_cell)
+        with pytest.raises(ValueError, match=message):
+            sweep("lorenz", grid, 1, base_seed=0, **kwargs)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep("ar", {}, n_realizations=1, base_seed=0)
@@ -263,16 +285,21 @@ class TestWindowedAnalysis:
             )
 
     def test_window_too_short(self, rng):
-        # a window shorter than one pattern and the largest lag, then a
-        # recording shorter than one window
-        for n_samples, window_s, message in [
-            (1000, 0.05, "window of 5 samples is too short; minimum is 7 samples"),
-            (500, 10.0, "recording of 500 samples is shorter than one window of 1000"),
+        # a window shorter than one pattern and the largest lag, a recording
+        # shorter than one window, then lengths that are not a positive
+        # finite number of seconds
+        not_positive_finite = "window_s must be a positive finite number of seconds"
+        for n_samples, window_s, error, message in [
+            (1000, 0.05, WindowTooShort, "window of 5 samples is too short; minimum is 7 samples"),
+            (500, 10.0, WindowTooShort, "recording of 500 samples is shorter than one window of 1000"),
+            (1000, np.inf, ValueError, f"{not_positive_finite}, got inf"),
+            (1000, np.nan, ValueError, f"{not_positive_finite}, got nan"),
+            (1000, 0.0, ValueError, f"{not_positive_finite}, got 0.0"),
         ]:
             series = MultivariateSeries(
                 data=rng.standard_normal((n_samples, 2)), sample_rate=100.0
             )
-            with pytest.raises(WindowTooShort, match=message):
+            with pytest.raises(error, match=message):
                 windowed_analysis(
                     series,
                     window_s=window_s,

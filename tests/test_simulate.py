@@ -167,6 +167,11 @@ class TestSimulateLorenzChain:
         with pytest.raises(ValueError):
             simulate_lorenz_chain(1000, c=-1.0)
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match=f"need at least 1 sample, got {n_samples}"):
+            simulate_lorenz_chain(n_samples)
+
     # sha256 of the output bytes at criterion 3's first two seeds (T=1e4,
     # c=0.6), so a faster integrator must reproduce them bit for bit
     @pytest.mark.parametrize(
@@ -237,6 +242,11 @@ class TestDrawNmmGraph:
 
 
 class TestSimulateNmm:
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match=f"need at least 1 sample, got {n_samples}"):
+            simulate_nmm(reproduction_nmm_config(), 5.0, n_samples, seed=0)
+
     def test_shape_and_truth_delay(self):
         cfg = reproduction_nmm_config()
         series, truth = simulate_nmm(cfg, 5.0, 2000, seed=3)
