@@ -561,18 +561,11 @@ class TestCommands:
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert manifest["nmm_config"] == str(NMM_CONFIG)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--system", "lorenz", "--T", "0"],
-            ["simulate", "--system", "nmm", "--T", "0"],
-            ["simulate", "--system", "lorenz", "--T", "-5"],
-            ["sweep", "--system", "lorenz", "--T", "0", "--R", "1"],
-        ],
-    )
-    def test_fewer_than_one_sample_is_an_error(self, tmp_path, capsys, argv):
-        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
-        assert capsys.readouterr().err == f"error: need at least 1 sample, got {argv[4]}\n"
+    @pytest.mark.parametrize("system, T", [("lorenz", "0"), ("nmm", "0"), ("lorenz", "-5")])
+    def test_simulate_fewer_than_one_sample_is_an_error(self, tmp_path, capsys, system, T):
+        argv = ["simulate", "--system", system, "--T", T, "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: need at least 1 sample, got {T}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("m", ["3", "4"])
@@ -607,6 +600,7 @@ class TestCommands:
             ("--delta", "nan", "delta must be non-negative, got nan"),
             ("--lambda", "1.5", "lambda must be in (0, 1], got 1.5"),
             ("--NL", "-1", "noise level must be non-negative, got -1.0"),
+            ("--T", "0", "need at least 1 sample, got 0"),
         ],
     )
     def test_sweep_bad_setting_fails_before_any_realization(
