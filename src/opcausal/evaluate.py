@@ -236,8 +236,7 @@ def run_realization(
     The cell sets the simulator's keys and NL, lambda and delta; the
     decimation, delay grid, d and one_delay_per_pair come from SYSTEMS, with
     m = 3. For "nmm", a `nmm_config` of None means the reproduction
-    configuration. Any other cell key, or a config for another system,
-    raises ValueError.
+    configuration. Any other cell key, or a config for another system, raises ValueError.
     """
     spec = _system(system, cell, nmm_config)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)

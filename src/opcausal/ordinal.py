@@ -155,8 +155,7 @@ def _lehmer_index(perms: np.ndarray) -> np.ndarray:
 
 def encode_series(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     """Ordinal symbol sequence of a single channel."""
-    # held until the codes are built: freeing it before the Lehmer step raised
-    # the peak RSS of a 20000 x 36 infer by 0.6 MB
+    # kept until the return: freeing it before the Lehmer step raised peak RSS
     vectors = embed(x, params)
     # a stable argsort puts the smallest component first and resolves ties
     # toward the earlier time index, which is exactly the required tie rule
