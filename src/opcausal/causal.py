@@ -25,7 +25,7 @@ from .entropy import (
     conditional_entropy_given_set,
     threshold,
 )
-from .errors import CandidateNotALink, DegenerateSample
+from .errors import CandidateNotALink, DegenerateSample, check
 from .ordinal import EmbeddingParams, MultivariateSeries, PatternMatrix, build_moptn
 
 # Largest conditioning set the epsilon test uses. At m = 3 the sample rule
@@ -130,7 +130,7 @@ def epsilon_test(
     non-negative up to float error. Returns (keep, epsilon); keep is False
     when epsilon < delta.
     """
-    _check_delta(delta)
+    check("delta", delta)
     augmented = ConditioningSet(list(p_min.members) + [(n, tau)])
     t_start = max(p_min.max_delay, tau)
     h_base = conditional_entropy_given_set(pi, m, p_min, t_start=t_start)
@@ -232,12 +232,6 @@ def prune_tensor(
     return rows
 
 
-def _check_delta(delta: float) -> None:
-    # written so that NaN fails too
-    if not delta >= 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
-
-
 def _param_snapshot(params, delays, lam, delta) -> dict[str, Any]:
     return {
         "m": params.m,
@@ -262,7 +256,7 @@ def infer_network(
     delay for each directed pair, which suits systems whose coupling acts
     through a smooth response so several neighboring lags pass the tests.
     """
-    _check_delta(delta)
+    check("delta", delta)
     pi, tensor = candidate_tensor(series, params, delays, lam)
     rows = prune_tensor(pi, tensor, delta)
     kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]

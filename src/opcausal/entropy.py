@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (
     ConditioningTooLarge,
     DegenerateSample,
-    InvalidLambda,
     LagTooLarge,
     TooFewChannels,
+    check,
 )
 from .ordinal import PatternMatrix, _check_symbols
 
@@ -234,14 +234,9 @@ def threshold(tensor: CETensor, lam: float) -> CETensor:
 
     Idempotent; entries below the cut are untouched.
     """
-    _check_lambda(lam)
+    check("lambda", lam)
     v, h_max = tensor.values, tensor.h_max
     return replace(tensor, values=np.where(v >= lam * h_max, h_max, v), thresholded=True)
-
-
-def _check_lambda(lam: float) -> None:
-    if not (0.0 < lam <= 1.0):
-        raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
 
 
 def _joint_codes(pi: PatternMatrix, members, t_start: int, target: int) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and the rule of every setting."""
+
+import math
 
 
 class OpcausalError(Exception):
@@ -21,7 +23,7 @@ class DegenerateSample(OpcausalError):
     pass
 
 
-class InvalidLambda(OpcausalError):
+class InvalidLambda(OpcausalError, ValueError):
     pass
 
 
@@ -51,3 +53,33 @@ class TooFewChannels(OpcausalError):
 
 class WindowTooShort(OpcausalError):
     pass
+
+
+# setting -> (rule a good value obeys, message for a bad one); each rule is a
+# comparison that holds, so NaN breaks every rule
+SETTINGS = {
+    "lambda": (lambda v: 0 < v <= 1, "lambda must be in (0, 1], got {}"),
+    "delta": (lambda v: v >= 0, "delta must be non-negative, got {}"),
+    "T": (lambda v: v >= 1, "need at least 1 sample, got {}"),
+    "NL": (lambda v: v >= 0, "noise level must be non-negative, got {}"),
+    "K": (lambda v: 0 <= v <= 100, "connection density K must be in [0, 100] percent, got {}"),
+    "c": (lambda v: v >= 0, "coupling strength must be non-negative"),
+    "sample_rate": (
+        lambda v: 0 < v < math.inf,
+        "sample rate must be a positive finite number, got {}",
+    ),
+    "window_s": (
+        lambda v: 0 < v < math.inf,
+        "window_s must be a positive finite number of seconds, got {}",
+    ),
+    "overlap": (lambda v: 0 <= v < 1, "overlap must be in [0, 1)"),
+    "n_realizations": (lambda v: v >= 1, "need at least one realization per cell"),
+    "max_workers": (lambda v: v >= 1, "max_workers (--threads) must be at least 1, got {}"),
+}
+
+
+def check(name: str, value) -> None:
+    """Raise ValueError, InvalidLambda for lambda, unless `value` obeys SETTINGS[name]."""
+    holds, message = SETTINGS[name]
+    if not holds(value):
+        raise (InvalidLambda if name == "lambda" else ValueError)(message.format(value))

@@ -20,15 +20,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .causal import CausalNetwork, _check_delta, infer_network
-from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid, _check_lambda
-from .errors import ChannelMismatch, WindowTooShort
+from .causal import CausalNetwork, infer_network
+from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
+from .errors import ChannelMismatch, WindowTooShort, check
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
     GroundTruth,
     NmmConfig,
-    _check_n_samples,
-    _check_noise_level,
     add_observation_noise,
     reproduction_nmm_config,
     simulate_ar,
@@ -204,20 +202,15 @@ SYSTEMS: dict[str, System] = {
     ),
 }
 
-# the cell keys run_realization reads for every system, each with its check
-_PIPELINE_KEYS = {
-    "T": _check_n_samples,
-    "NL": _check_noise_level,
-    "lambda": _check_lambda,
-    "delta": _check_delta,
-}
+# the cell keys run_realization reads for every system
+_PIPELINE_KEYS = {"NL", "lambda", "delta"}
 
 
 def _system(name: str, keys, nmm_config=None) -> System:
     """SYSTEMS[name], after checking that it reads each cell key and the config."""
     if name not in SYSTEMS:
         raise ValueError(f"unknown system {name!r}")
-    unread = sorted(set(keys) - _PIPELINE_KEYS.keys() - set(SYSTEMS[name].reads))
+    unread = sorted(set(keys) - _PIPELINE_KEYS - set(SYSTEMS[name].reads))
     if unread:
         raise ValueError(f"system {name!r} reads no cell key {', '.join(unread)}")
     if nmm_config is not None and not SYSTEMS[name].takes_nmm_config:
@@ -303,13 +296,11 @@ def sweep(
         raise ValueError("sweep grid must be non-empty")
     # an unread axis or a bad setting fails before any realization runs
     _system(system, grid, nmm_config)
-    for key, check in _PIPELINE_KEYS.items():
-        for value in grid.get(key, ()):
-            check(value)
-    if n_realizations < 1:
-        raise ValueError("need at least one realization per cell")
-    if max_workers < 1:
-        raise ValueError(f"--threads must be at least 1, got {max_workers}")
+    for key, values in grid.items():
+        for value in values:
+            check(key, value)
+    check("n_realizations", n_realizations)
+    check("max_workers", max_workers)
     axes = sorted(grid)
     cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
     tasks = [(system, c, n_realizations, base_seed, nmm_config) for c in cells]
@@ -331,10 +322,8 @@ def windowed_analysis(
     """(window midpoint in s, inferred network) for each sliding window, in order."""
     if series.sample_rate is None:
         raise ValueError("windowed analysis requires a sample rate")
-    if not (0.0 <= overlap < 1.0):
-        raise ValueError("overlap must be in [0, 1)")
-    if not 0.0 < window_s < np.inf:
-        raise ValueError(f"window_s must be a positive finite number of seconds, got {window_s}")
+    check("overlap", overlap)
+    check("window_s", window_s)
     fs = series.sample_rate
     win_len = int(round(window_s * fs))
     min_len = params.span + delays.max_delay + 2

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NonFiniteValue, SeriesTooShort
+from .errors import NonFiniteValue, SeriesTooShort, check
 
 MAX_EMBEDDING_DIM = 8
 
@@ -59,10 +59,8 @@ class MultivariateSeries:
             raise ValueError("series data needs at least one column")
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteValue("series contains NaN or infinite samples")
-        if self.sample_rate is not None and not 0 < self.sample_rate < np.inf:
-            raise ValueError(
-                f"sample rate must be a positive finite number, got {self.sample_rate}"
-            )
+        if self.sample_rate is not None:
+            check("sample_rate", self.sample_rate)
         if not self.channel_names:
             self.channel_names = [f"x{n + 1}" for n in range(self.data.shape[1])]
         if len(self.channel_names) != self.data.shape[1]:

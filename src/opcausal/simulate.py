@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteState, ParameterUnset
+from .errors import NonFiniteState, ParameterUnset, check
 from .ordinal import MultivariateSeries
 
 
@@ -58,11 +58,6 @@ AR_COUPLINGS = {
 
 AR_NOISE_SCALE = 0.4
 AR_N_CHANNELS = 9
-
-
-def _check_n_samples(n_samples: int) -> None:
-    if n_samples < 1:
-        raise ValueError(f"need at least 1 sample, got {n_samples}")
 
 
 def simulate_ar(
@@ -147,9 +142,8 @@ def simulate_lorenz_chain(
     after the transient. Ground truth is 1 -> 2 -> 3; the coupling is
     continuous, so the listed delay is the nominal 1 sample.
     """
-    _check_n_samples(n_samples)
-    if c < 0:
-        raise ValueError("coupling strength must be non-negative")
+    check("T", n_samples)
+    check("c", c)
     rng = np.random.default_rng(seed)
     state = []
     for _ in range(3):
@@ -272,9 +266,8 @@ def draw_nmm_graph(n_regions: int, k_percent: float, rng: np.random.Generator) -
     self-connections can be drawn; they act as self-coupling in the
     simulation but are not reported as ground-truth edges.
     """
+    check("K", k_percent)
     n_edges = int(k_percent * n_regions * n_regions / 100.0)
-    if n_edges > n_regions * n_regions:
-        raise ValueError("requested connection density exceeds the number of pairs")
     adj = np.zeros((n_regions, n_regions), dtype=float)
     # flat index i * n + j is the ordered pair (i, j)
     adj.flat[rng.choice(n_regions * n_regions, size=n_edges, replace=False)] = 1.0
@@ -310,7 +303,7 @@ def simulate_nmm(
     holds delay_ms minus that rise time; the lag at which the target output
     tracks the source is then delay_ms itself.
     """
-    _check_n_samples(n_samples)
+    check("T", n_samples)
     rng = np.random.default_rng(seed)
     n = cfg.n_regions
     if adjacency is None:
@@ -424,17 +417,11 @@ def simulate_nmm(
     return MultivariateSeries(data=data, sample_rate=cfg.sample_rate), truth
 
 
-def _check_noise_level(beta: float) -> None:
-    # written so that NaN fails too
-    if not beta >= 0:
-        raise ValueError(f"noise level must be non-negative, got {beta}")
-
-
 def add_observation_noise(
     series: MultivariateSeries, beta: float, seed: int
 ) -> MultivariateSeries:
     """Additive Gaussian noise scaled per channel by beta times its std."""
-    _check_noise_level(beta)
+    check("NL", beta)
     if beta == 0:
         return MultivariateSeries(
             data=series.data.copy(),

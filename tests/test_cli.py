@@ -568,6 +568,14 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: need at least 1 sample, got {T}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("K", ["200", "-5", "nan"])
+    def test_simulate_bad_density_names_K(self, tmp_path, capsys, K):
+        argv = ["simulate", "--system", "nmm", "--T", "300", "--K", K]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        message = f"connection density K must be in [0, 100] percent, got {float(K)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("m", ["3", "4"])
     def test_infer_on_one_channel_is_an_error(self, tmp_path, capsys, rng, m):
         path = tmp_path / "one.csv"
@@ -601,13 +609,16 @@ class TestCommands:
             ("--lambda", "1.5", "lambda must be in (0, 1], got 1.5"),
             ("--NL", "-1", "noise level must be non-negative, got -1.0"),
             ("--T", "0", "need at least 1 sample, got 0"),
+            ("--K", "-5", "connection density K must be in [0, 100] percent, got -5.0"),
+            ("--K", "nan", "connection density K must be in [0, 100] percent, got nan"),
         ],
     )
     def test_sweep_bad_setting_fails_before_any_realization(
         self, tmp_path, capsys, flag, value, message
     ):
         out = tmp_path / "sweep"
-        argv = ["sweep", "--system", "ar", "--T", "300", "--R", "2", flag, value]
+        system = "nmm" if flag == "--K" else "ar"  # only nmm reads K
+        argv = ["sweep", "--system", system, "--T", "300", "--R", "2", flag, value]
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
@@ -617,7 +628,8 @@ class TestCommands:
         out = tmp_path / "sweep"
         argv = ["sweep", "--system", "ar", "--delta", "0.1", "--T", "200", "--R", "1"]
         assert main([*argv, "--threads", threads, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: max_workers (--threads) must be at least 1, got {threads}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_needs_an_axis(self, tmp_path, capsys):

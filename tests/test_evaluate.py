@@ -1,5 +1,6 @@
 """Scoring, seed derivation, the systems table, sweeps, and windowed coupling."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -216,8 +217,11 @@ class TestSweep:
         [
             ({"T": [300, 0]}, {}, "need at least 1 sample, got 0"),
             ({"T": [-5]}, {}, "need at least 1 sample, got -5"),
-            ({"T": [300]}, {"max_workers": 0}, "--threads must be at least 1, got 0"),
+            ({"T": [300]}, {"max_workers": 0}, "max_workers (--threads) must be at least 1, got 0"),
             ({"T": [300]}, {"nmm_config": reproduction_nmm_config()}, "reads no neural-mass"),
+            ({"K": [5.0, -5.0]}, {}, "connection density K must be in [0, 100] percent, got -5.0"),
+            ({"K": [np.nan]}, {}, "connection density K must be in [0, 100] percent, got nan"),
+            ({"c": [0.6, np.nan]}, {}, "coupling strength must be non-negative"),
         ],
     )
     def test_bad_setting_fails_before_any_realization(self, monkeypatch, grid, kwargs, message):
@@ -225,8 +229,9 @@ class TestSweep:
             raise AssertionError("a realization ran")
 
         monkeypatch.setattr(evaluate, "_run_cell", run_cell)
-        with pytest.raises(ValueError, match=message):
-            sweep("lorenz", grid, 1, base_seed=0, **kwargs)
+        system = "nmm" if "K" in grid else "lorenz"  # lorenz reads c, only nmm reads K
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(system, grid, 1, base_seed=0, **kwargs)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 from opcausal.cli import DEFAULTS, build_parser, main
+from opcausal.errors import SETTINGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +49,12 @@ def test_config_keys_match_the_defaults():
     pattern = r"A `--config` file may hold only the keys (.*?);"
     (keys,) = re.findall(pattern, README.read_text(), flags=re.S)
     assert re.findall(r"`([^`]+)`", keys) == list(DEFAULTS)
+
+
+def test_settings_list_matches_the_table():
+    # one bullet per SETTINGS row, in its order, stating the row's message
+    # up to the value it reports
+    (block,) = re.findall(r"in the words of their errors:\n\n((?:- .*\n)+)", README.read_text())
+    rules = re.findall(r"^- `(\w+)` \(.*?\): (.*)$", block, flags=re.M)
+    table = [(name, message.partition(", got")[0]) for name, (_, message) in SETTINGS.items()]
+    assert rules == table

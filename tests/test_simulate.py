@@ -164,8 +164,10 @@ class TestSimulateLorenzChain:
         assert deriv[0:3] == deriv[3:6] == deriv[6:9]
 
     def test_rejects_negative_coupling(self):
-        with pytest.raises(ValueError):
-            simulate_lorenz_chain(1000, c=-1.0)
+        # NaN too, before the integration would turn it into NonFiniteState
+        for c in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="coupling strength must be non-negative"):
+                simulate_lorenz_chain(1000, c=c)
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_fewer_than_one_sample(self, n_samples):
