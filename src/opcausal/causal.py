@@ -166,8 +166,10 @@ def candidate_tensor(
 
     A channel whose symbols are all one pattern has zero entropy, so every
     source would look like a link into it; such channels raise
-    DegenerateSample.
+    DegenerateSample. A lambda outside (0, 1] raises InvalidLambda before
+    any symbol is encoded.
     """
+    check("lambda", lam)
     pi = build_moptn(series, params)
     constant = np.flatnonzero((pi.symbols == pi.symbols[0]).all(axis=0))
     if constant.size:

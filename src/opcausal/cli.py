@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
-from .errors import OpcausalError
+from .errors import OpcausalError, check
 from .evaluate import SYSTEMS, _system, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
 from .simulate import GroundTruth, NmmConfig, add_observation_noise
@@ -248,6 +248,7 @@ def cmd_simulate(args) -> int:
     flags = {k: v for k, v in (("c", args.c), ("K", args.K)) if v is not None}
     system = _system(args.system, flags, args.nmm_config)
     cell = {**system.reads, "T": args.T, **flags}
+    check("NL", args.noise_level)
     series, truth = system.simulate(cell, seed, _nmm_config(args))
     series = add_observation_noise(series, args.noise_level, seed + 1)
     write_series_csv(series, out.with_suffix(".csv"))

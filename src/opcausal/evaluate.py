@@ -232,8 +232,10 @@ def run_realization(
     configuration. Any other cell key, or a config for another system, raises ValueError.
     """
     spec = _system(system, cell, nmm_config)
+    noise_level = float(cell.get("NL", 0.0))
+    check("NL", noise_level)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
-    noisy = add_observation_noise(series, float(cell.get("NL", 0.0)), seed + 1)
+    noisy = add_observation_noise(series, noise_level, seed + 1)
     factor = spec.decimate
     noisy = decimate(noisy, factor)
     truth = GroundTruth(

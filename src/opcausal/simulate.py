@@ -316,17 +316,22 @@ def simulate_nmm(
 
     # The state is packed into (5, n) blocks with rows p, e, s, f, l:
     # pyramidal, excitatory, slow- and fast-inhibitory, and the auxiliary
-    # pair driven by n_f. Each step runs a fixed number of numpy calls on
-    # the blocks, each writing into a preallocated array, and every element
-    # goes through the same floating-point operations in the same order as
-    # the per-population form
+    # pair driven by n_f. Each step makes 24 numpy calls (19 ufuncs, one
+    # matrix-vector product, three row copies and one row lookup), each
+    # writing into a preallocated array. Every constant operand has the full
+    # shape of the call's output: no broadcast (k, 1) columns and no
+    # Python-float operands, since on blocks this small either costs more
+    # per call than the arithmetic. Every element goes through the same
+    # floating-point operations in the same order as the per-population form
     #     dx = g*h * input - 2*h * x - h**2 * y,  y += dt * x,  x += dt * dx,
     # so the output is bit-identical to it (tests/test_simulate.py keeps that
     # form as the reference).
     kernels = [(cfg.g_e, cfg.h_e), (cfg.g_e, cfg.h_e), (cfg.g_s, cfg.h_s),
                (cfg.g_f, cfg.h_f), (cfg.g_e, cfg.h_e)]
-    gain = np.array([[g * h] for g, h in kernels])
-    restoring = np.array([[[h**2] for _, h in kernels], [[2.0 * h] for _, h in kernels]])
+    gain = np.repeat([[g * h] for g, h in kernels], n, axis=-1)
+    restoring = np.repeat(
+        [[[h**2] for _, h in kernels], [[2.0 * h] for _, h in kernels]], n, axis=-1
+    )
     # state = [y, x, dx], so that [y, x] += dt * [x, dx] is the Euler step
     state = np.zeros((3, 5, n))
     y, dx = state[0], state[2]
@@ -334,6 +339,7 @@ def simulate_nmm(
     # scratch = [h**2 * y, 2*h * x] = restoring * [y, x]
     scratch = np.empty((2, 5, n))
     stiff, damped = scratch
+    step = np.full((2, 5, n), dt)
     # drive[:4] holds the firing rates z_p, z_e, z_s, z_f; the e row then
     # gains u_p / c_pe and the l row holds n_f
     drive = np.empty((5, n))
@@ -346,14 +352,17 @@ def simulate_nmm(
     terms = np.empty((2, 3, n))
     terms_p, terms_f = terms
     first, second, third = terms[:, 0], terms[:, 1], terms[:, 2]
-    k_p = np.array([[cfg.c_pe], [cfg.c_ps], [cfg.c_pf]])
-    k_f = np.array([[cfg.c_fp], [cfg.c_fs], [cfg.c_ff]])
-    k_es = np.array([[cfg.c_ep], [cfg.c_sp]])
+    k_p = np.repeat([[cfg.c_pe], [cfg.c_ps], [cfg.c_pf]], n, axis=-1)
+    k_f = np.repeat([[cfg.c_fp], [cfg.c_fs], [cfg.c_ff]], n, axis=-1)
+    k_es = np.repeat([[cfg.c_ep], [cfg.c_sp]], n, axis=-1)
     y_esf, y_psl, y_p = y[1:4], y[::2], y[0]
     v_p, v_es, v_pf = potential[0], potential[1:3], potential[::3]
 
+    neg_r, one, two_e0, e0 = (
+        np.full((4, n), value) for value in (-cfg.r, 1.0, 2.0 * cfg.e0, cfg.e0)
+    )
+    c_pe = np.full(n, cfg.c_pe)
     noise_std = math.sqrt(cfg.noise_var)
-    neg_r, two_e0, e0, c_pe = -cfg.r, 2.0 * cfg.e0, cfg.e0, cfg.c_pe
     buffer_len = buffer_samples
     z_p_buffer = np.zeros((buffer_len, n))
     z_p = rates[0]
@@ -368,7 +377,7 @@ def simulate_nmm(
         noise = rng.standard_normal((steps, 2, n))
         noise *= noise_std
         noise += cfg.noise_mean
-        for t, (n_p, n_f) in enumerate(noise, start):
+        for t, n_p, n_f in zip(range(start, start + steps), noise[:, 0], noise[:, 1]):
             np.multiply(k_p, y_esf, terms_p)
             np.multiply(k_f, y_psl, terms_f)
             np.subtract(first, second, v_pf)
@@ -379,7 +388,7 @@ def simulate_nmm(
             # rates = 2 * e0 / (1 + exp(-r * potential)) - e0
             np.multiply(neg_r, potential, rates)
             np.exp(rates, rates)
-            np.add(1.0, rates, rates)
+            np.add(one, rates, rates)
             np.divide(two_e0, rates, rates)
             np.subtract(rates, e0, rates)
 
@@ -395,7 +404,7 @@ def simulate_nmm(
             np.multiply(restoring, y_x, scratch)
             np.subtract(dx, damped, dx)
             np.subtract(dx, stiff, dx)
-            np.multiply(dt, x_dx, scratch)
+            np.multiply(step, x_dx, scratch)
             np.add(y_x, scratch, y_x)
         if not np.isfinite(out[start : start + steps]).all():
             raise NonFiniteState("neural mass integration diverged")

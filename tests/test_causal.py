@@ -22,7 +22,7 @@ from opcausal.causal import (
     reliable_conditioning_size,
 )
 from opcausal.entropy import CETensor
-from opcausal.errors import CandidateNotALink, DegenerateSample
+from opcausal.errors import CandidateNotALink, DegenerateSample, InvalidLambda
 from opcausal.ordinal import PatternMatrix
 from opcausal.simulate import simulate_ar
 
@@ -157,6 +157,12 @@ class TestPipeline:
         monkeypatch.setattr(causal, "ce_tensor", None)  # computing entropies fails
         with pytest.raises(ValueError, match="delta must be non-negative"):
             infer_network(series, params, grid, lam=0.5, delta=delta)
+
+    def test_bad_lambda_is_rejected_before_any_symbol_is_encoded(self, monkeypatch):
+        series = MultivariateSeries(data=np.random.default_rng(0).standard_normal((3000, 3)))
+        monkeypatch.setattr(causal, "build_moptn", None)  # encoding fails
+        with pytest.raises(InvalidLambda):
+            infer_network(series, EmbeddingParams(m=3, d=1), DelayGrid([1, 2]), lam=1.5)
 
     def test_chain_recovered_and_indirect_pruned(self):
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from opcausal.cli import (
     write_truth_json,
 )
 from opcausal.errors import NonFiniteValue, OpcausalError
+from opcausal.evaluate import SYSTEMS
 from opcausal.simulate import GroundTruth, simulate_ar
 
 NMM_CONFIG = Path(opcausal.__file__).parent / "configs" / "nmm_reproduction.json"
@@ -566,6 +568,18 @@ class TestCommands:
         argv = ["simulate", "--system", system, "--T", T, "--out", str(tmp_path / "run")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: need at least 1 sample, got {T}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_negative_noise_level_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("simulated before checking the noise level")
+
+        monkeypatch.setitem(SYSTEMS, "ar", replace(SYSTEMS["ar"], simulate=refuse))
+        argv = ["simulate", "--system", "ar", "--T", "300", "--noise-level", "-1"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: noise level must be non-negative, got -1.0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("K", ["200", "-5", "nan"])

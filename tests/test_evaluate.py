@@ -146,6 +146,14 @@ class TestRunRealization:
         with pytest.raises(ValueError, match=f"reads no cell key {key}"):
             run_realization(system, {"T": 300, key: 1.0}, seed=0)
 
+    def test_negative_noise_level_fails_before_simulating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulated before checking the noise level")
+
+        monkeypatch.setitem(SYSTEMS, "ar", replace(SYSTEMS["ar"], simulate=refuse))
+        with pytest.raises(ValueError, match=r"^noise level must be non-negative, got -1.0$"):
+            run_realization("ar", {"T": 300, "NL": -1}, seed=0)
+
     @pytest.mark.parametrize("system", ["ar", "lorenz"])
     def test_config_the_system_ignores(self, system):
         with pytest.raises(ValueError, match=f"system '{system}' reads no neural-mass config"):

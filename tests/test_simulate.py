@@ -333,6 +333,7 @@ class TestSimulateNmm:
             ({"n_regions": 3}, 30.0, 1, 100),
             ({"delay_ms": 5.0}, 10.0, 2, 100),  # shorter than the rise: one slot
             ({"noise_var": 0.0, "noise_mean": 0.2, "g_s": 30.0, "h_f": 300.0}, 5.0, 4, 1),
+            ({"n_regions": 12}, 20.0, 6, 100),  # the full-shape operands follow n
         ],
     )
     def test_equals_per_population_loop(self, changes, k_percent, seed, transient):
