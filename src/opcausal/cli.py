@@ -221,15 +221,21 @@ def _number(cfg: dict, key: str) -> float:
 
 
 def _pipeline_inputs(args):
-    """Merged config, series, embedding, delays and the pruning settings."""
+    """Merged config, series, embedding, delays and the pruning settings.
+
+    Every setting is checked before the CSV is read, so a bad one fails
+    without parsing the input.
+    """
     cfg = _merge_config(args)
-    series = read_series_csv(args.input, sample_rate=args.sample_rate)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
     settings = {
         "lam": _number(cfg, "lambda"),
         "delta": _number(cfg, "delta"),
     }
+    check("delta", settings["delta"])
+    check("lambda", settings["lam"])
+    series = read_series_csv(args.input, sample_rate=args.sample_rate)
     return cfg, series, params, delays, settings
 
 
@@ -329,6 +335,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_windowed(args) -> int:
+    check("overlap", args.overlap)
+    check("window_s", args.window_s)
     cfg, series, params, delays, settings = _pipeline_inputs(args)
     windows = windowed_analysis(series, args.window_s, args.overlap, params, delays, **settings)
     entries = [(mid_s, e) for mid_s, network in windows for e in network.edges]

@@ -123,6 +123,17 @@ class PatternMatrix:
         return self.params.n_patterns
 
 
+def _n_vectors(n_samples: int, params: EmbeddingParams) -> int:
+    """Embedding vectors in a series of n_samples; SeriesTooShort if none fits."""
+    n_vectors = n_samples - params.span
+    if n_vectors < 1:
+        raise SeriesTooShort(
+            f"need at least {params.span + 1} samples for m={params.m}, d={params.d}; "
+            f"got {n_samples}"
+        )
+    return n_vectors
+
+
 def embed(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     """Delay-embed a single series into a (T - (m-1)d) x m matrix of vectors.
 
@@ -132,38 +143,58 @@ def embed(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("embed expects a one-dimensional series")
-    n_vectors = x.size - params.span
-    if n_vectors < 1:
-        raise SeriesTooShort(
-            f"need at least {params.span + 1} samples for m={params.m}, d={params.d}; got {x.size}"
-        )
+    n_vectors = _n_vectors(x.size, params)
     cols = [x[k * params.d : k * params.d + n_vectors] for k in range(params.m)]
     return np.column_stack(cols)
 
 
-def _lehmer_index(perms: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each permutation row (Lehmer code)."""
-    m = perms.shape[1]
-    code = np.zeros(perms.shape[0], dtype=np.int64)
-    for j in range(m - 1):
-        smaller_after = np.sum(perms[:, j + 1 :] < perms[:, j : j + 1], axis=1)
-        code += smaller_after * factorial(m - 1 - j)
-    return code
+# rows encoded per pass, so the int8 counts of a block stay a few hundred KB
+_BLOCK_ROWS = 4096
+
+
+def _encode(data: np.ndarray, params: EmbeddingParams) -> np.ndarray:
+    """T' x N int64 Fortran symbols of the finite T x N samples in data.
+
+    The symbol of a vector is the Lehmer code of its stable argsort:
+    sum over components e of inv(e) * (m-1-rank(e))!, where inv(e) counts the
+    earlier components above x_e and rank(e) is e's sorted position, ties
+    going to the earlier component. One comparison x_a > x_e per pair a < e
+    adds to inv(e) and rank(a); rank(e) gains the e - inv(e) earlier
+    components that do not exceed x_e.
+    """
+    m, d = params.m, params.d
+    n_vectors = _n_vectors(data.shape[0], params)
+    weights = np.array([factorial(m - 1 - r) for r in range(m)], dtype=np.int32)
+    out = np.empty((n_vectors, data.shape[1]), dtype=np.int64, order="F")
+    for r0 in range(0, n_vectors, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n_vectors)
+        x = [data[r0 + k * d : r1 + k * d] for k in range(m)]
+        inv = np.zeros((m, *x[0].shape), dtype=np.int8)
+        rank = np.zeros_like(inv)
+        greater = np.empty(x[0].shape, dtype=bool)
+        for e in range(1, m):
+            for a in range(e):
+                np.greater(x[a], x[e], out=greater)
+                inv[e] += greater.view(np.int8)
+                rank[a] += greater.view(np.int8)
+        rank += np.arange(m, dtype=np.int8)[:, None, None] - inv
+        code = np.zeros(x[0].shape, dtype=np.int32)
+        for e in range(1, m):
+            code += inv[e] * weights[rank[e]]
+        out[r0:r1] = code
+    return out
 
 
 def encode_series(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
-    """Ordinal symbol sequence of a single channel."""
-    # kept until the return: freeing it before the Lehmer step raised peak RSS
-    vectors = embed(x, params)
-    # a stable argsort puts the smallest component first and resolves ties
-    # toward the earlier time index, which is exactly the required tie rule
-    return _lehmer_index(np.argsort(vectors, axis=1, kind="stable"))
+    """Ordinal symbol sequence of a single channel; NonFiniteValue for NaN or inf."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("encode_series expects a one-dimensional series")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteValue("series contains NaN or infinite samples")
+    return _encode(x[:, None], params)[:, 0]
 
 
 def build_moptn(series: MultivariateSeries, params: EmbeddingParams) -> PatternMatrix:
     """Encode every channel of a multivariate series into a PatternMatrix."""
-    symbols = np.stack(
-        [encode_series(series.data[:, n], params) for n in range(series.n_channels)]
-    )
-    return PatternMatrix(symbols=symbols.T, params=params)
-
+    return PatternMatrix(symbols=_encode(series.data, params), params=params)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import opcausal
-from opcausal import MultivariateSeries
+from opcausal import MultivariateSeries, cli, evaluate
 from opcausal.cli import (
     main,
     parse_delays,
@@ -432,14 +432,20 @@ class TestCommands:
         # 30 s at 200 Hz in 20 s windows at the default 50% overlap
         assert manifest["window_mid_s"] == [10.0, 20.0]
 
-    def test_windowed_recording_shorter_than_a_window_is_an_error(self, tmp_path, capsys):
+    def test_windowed_recording_shorter_than_a_window_is_an_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inferred a window before checking the recording length")
+
         out = tmp_path / "run"
         main(["simulate", "--system", "ar", "--T", "500", "--seed", "1", "--out", str(out)])
         capsys.readouterr()
+        monkeypatch.setattr(evaluate, "infer_network", refuse)
         windows = tmp_path / "windows.csv"
         argv = ["windowed", "--input", str(out.with_suffix(".csv")), "--out", str(windows)]
         argv += ["--sample-rate", "100", "--window-s", "10", "--d", "1", "--delays", "1-3"]
-        assert main([*argv, "--delta", "-5"]) == 1
+        assert main(argv) == 1
         assert capsys.readouterr().err == (
             "error: recording of 500 samples is shorter than one window of 1000 samples\n"
         )
@@ -477,6 +483,47 @@ class TestCommands:
         assert err == f"error: sample rate must be a positive finite number, got {float(rate)}\n"
         assert not result.exists()
         assert not result.with_suffix(".manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            (command, flag, value, message)
+            for command in ("infer", "windowed")
+            for flag, value, message in [
+                ("--M", "9", "embedding dimension must be in [2, 8], got 9"),
+                ("--d", "0", "embedding delay must be >= 1, got 0"),
+                ("--delays", "5-1", "delay grid must be non-empty"),
+                (
+                    "--delays",
+                    "1-3:0",
+                    "delay range '1-3:0' needs finite bounds and a positive step",
+                ),
+                ("--lambda", "1.5", "lambda must be in (0, 1], got 1.5"),
+                ("--delta", "-1", "delta must be non-negative, got -1.0"),
+            ]
+        ]
+        + [
+            (
+                "windowed",
+                "--window-s",
+                "0",
+                "window_s must be a positive finite number of seconds, got 0.0",
+            ),
+            ("windowed", "--overlap", "1", "overlap must be in [0, 1)"),
+        ],
+    )
+    def test_bad_setting_fails_before_reading_the_csv(
+        self, tmp_path, capsys, monkeypatch, command, flag, value, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the CSV before checking the settings")
+
+        monkeypatch.setattr(cli, "read_series_csv", refuse)
+        out = tmp_path / "result"
+        argv = [command, "--input", str(tmp_path / "series.csv"), "--out", str(out)]
+        assert main([*argv, "--sample-rate", "100", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_windowed_needs_a_sample_rate(self, tmp_path, capsys):
         out = tmp_path / "run"

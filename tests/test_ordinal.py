@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from opcausal import EmbeddingParams, MultivariateSeries, build_moptn, embed
-from opcausal.errors import SeriesTooShort
+from opcausal.errors import NonFiniteValue, SeriesTooShort
 from opcausal.ordinal import decimate, encode_series
 
 
@@ -24,6 +24,27 @@ def encode_vector(z):
     """Pattern index of one vector: the single symbol of the series z at d=1."""
     (symbol,) = encode_series(np.asarray(z, dtype=float), EmbeddingParams(m=len(z), d=1))
     return int(symbol)
+
+
+def reference_symbols(x, params):
+    """Ordinal symbols of one channel: Lehmer code of each embedding vector's stable argsort."""
+    perms = np.argsort(embed(x, params), axis=1, kind="stable")
+    m = params.m
+    code = np.zeros(perms.shape[0], dtype=np.int64)
+    for j in range(m - 1):
+        smaller_after = np.sum(perms[:, j + 1 :] < perms[:, j : j + 1], axis=1)
+        code += smaller_after * factorial(m - 1 - j)
+    return code
+
+
+def oracle_inputs(kind, rng, shape):
+    """Continuous samples, samples rounded so ties are common, or ties holding +0.0 and -0.0."""
+    x = rng.standard_normal(shape)
+    if kind == "rounded":
+        return np.round(2.0 * x)
+    if kind == "signed_zeros":
+        return np.copysign(np.round(x), rng.choice([-1.0, 1.0], shape))
+    return x
 
 
 class TestEncodePattern:
@@ -108,6 +129,13 @@ class TestEncodeSeries:
         symbols = encode_series(np.arange(50.0), EmbeddingParams(m=3, d=2))
         assert np.all(symbols == 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, rng, bad):
+        x = rng.standard_normal(100)
+        x[40] = bad
+        with pytest.raises(NonFiniteValue, match="NaN or infinite"):
+            encode_series(x, EmbeddingParams(m=3, d=2))
+
 
 class TestBuildMoptn:
     def test_shape(self, random_series):
@@ -127,6 +155,28 @@ class TestBuildMoptn:
             build_moptn(
                 MultivariateSeries(data=np.zeros((4, 2))), EmbeddingParams(m=3, d=2)
             )
+
+    # 9000 rows cross the encoder's row blocks; m = 8 runs every comparison
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "signed_zeros"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_equals_argsort_lehmer_oracle(self, rng, m, d, kind):
+        data = oracle_inputs(kind, rng, (9000, 3))
+        params = EmbeddingParams(m=m, d=d)
+        symbols = build_moptn(MultivariateSeries(data=data), params).symbols
+        expected = np.stack([reference_symbols(data[:, n], params) for n in range(3)], axis=1)
+        assert symbols.dtype == np.int64 and symbols.flags.f_contiguous
+        np.testing.assert_array_equal(symbols, expected)
+
+    def test_oracle_inputs_hold_ties_and_both_zeros(self, rng):
+        window = EmbeddingParams(m=3, d=1)
+        for kind in ("rounded", "signed_zeros"):
+            x = oracle_inputs(kind, rng, (9000, 3))[:, 0]
+            vectors = embed(x, window)
+            tied = (vectors[:, :, None] == vectors[:, None, :]).sum(axis=(1, 2)) > 3
+            assert tied.mean() > 0.2
+        zeros = x[x == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 class TestDecimate:
