@@ -30,6 +30,7 @@ from opcausal.errors import (
     TooFewChannels,
 )
 from opcausal.ordinal import PatternMatrix
+from opcausal.simulate import simulate_ar
 
 
 def oracle_co_occurrence_entropy(src, dst, tau, n_patterns):
@@ -64,6 +65,37 @@ def oracle_conditional_entropy_given_set(pi, target, members, t_start):
     for full, c in joint.items():
         h -= c / total * math.log2(c / cond[full[:-1]])
     return h
+
+
+def composed_conditional_entropy_given_set(pi, target, members, t_start):
+    """The set estimator as one composition: int64 codes, bincount, sum-and-check.
+
+    The counts are re-summed for the sample total, and a joint alphabet past
+    the dense limit goes through the unique-count estimator.
+    """
+    f = pi.n_patterns
+    digits = [pi.symbols[t_start - tau : pi.n_times - tau, c] for c, tau in members]
+    codes = digits[0].astype(np.int64)
+    for digit in (*digits[1:], pi.symbols[t_start:, target]):
+        codes *= f
+        codes += digit
+    n_bins = f ** (len(members) + 1)
+    if n_bins > entropy._DENSE_MAX_BINS:
+        total = codes.size
+        _, joint_counts = np.unique(codes, return_counts=True)
+        _, state_counts = np.unique(codes // f, return_counts=True)
+        h_joint = -np.sum(joint_counts / total * np.log2(joint_counts / total))
+        h_state = -np.sum(state_counts / total * np.log2(state_counts / total))
+        return float(h_joint - h_state)
+    counts = np.bincount(codes, minlength=n_bins).reshape(-1, f)
+    total = counts.sum(axis=(-2, -1), keepdims=True)
+    assert not np.any(total == 0)
+    joint = counts / total
+    row = joint.sum(axis=-1, keepdims=True)
+    terms = np.divide(joint, row, out=np.ones_like(joint), where=joint > 0)
+    np.log2(terms, out=terms)
+    terms *= joint
+    return float(-terms.reshape(-1).sum())
 
 
 symbol_sequences = st.lists(st.integers(0, 5), min_size=5, max_size=50)
@@ -180,6 +212,46 @@ class TestConditionalEntropyGivenSet:
         cond = ConditioningSet([(1, 3)])
         with pytest.raises(ValueError):
             conditional_entropy_given_set(pi, 0, cond, t_start=2)
+
+
+    @pytest.mark.parametrize("explicit_start", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_bit_identical_to_composed_estimator(self, m, size, explicit_start, monkeypatch):
+        calls = []
+        sparse = entropy._conditional_entropy_sparse
+
+        def spy(*args):
+            calls.append(args)
+            return sparse(*args)
+
+        monkeypatch.setattr(entropy, "_conditional_entropy_sparse", spy)
+        series, _ = simulate_ar(4000, seed=5)
+        pi = build_moptn(series, EmbeddingParams(m=m, d=1))
+        members = [(3, 2), (0, 1), (5, 7)][:size]
+        cond = ConditioningSet(members)
+        t_start = cond.max_delay + 9 if explicit_start else cond.max_delay
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = conditional_entropy_given_set(
+                pi, 0, cond, t_start=t_start if explicit_start else None
+            )
+        want = composed_conditional_entropy_given_set(pi, 0, members, t_start)
+        assert got.hex() == want.hex()
+        assert 0.0 < got < log2(math.factorial(m))
+        # m=5 with three members has 120^4 joint bins, past the dense limit
+        assert len(calls) == (1 if math.factorial(m) ** (size + 1) > 1e7 else 0)
+        n_valid = pi.n_times - t_start
+        sparse_states = n_valid / math.factorial(m) ** size < entropy.MIN_SAMPLES_PER_STATE
+        assert [str(w.message) for w in caught] == (
+            [
+                f"only {n_valid} samples for {math.factorial(m) ** size} joint conditioning "
+                "states; entropy estimate may be unreliable"
+            ]
+            if sparse_states
+            else []
+        )
+        assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
 
 
 class TestSymbolLayout:

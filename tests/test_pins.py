@@ -2,8 +2,10 @@
 
 Each Evidence row is hashed with its floats in hex, so any change in the bits
 of a conditioned entropy, of epsilon or of a conditioning set shows here.
-The AR realization is criterion 1's (T=1e4); the NMM one is the benchmark's
-fixed nmm_delta graph at T=2e4, decimated by 5.
+The AR realizations are criterion 1's (T=1e4) and the same system at T=2e4,
+whose T'=19,800 allows conditioning sets of three members (four with the
+candidate, over 6^5 joint bins); the NMM one is the benchmark's fixed
+nmm_delta graph at T=2e4, decimated by 5.
 """
 
 import hashlib
@@ -20,9 +22,13 @@ from opcausal.simulate import reproduction_nmm_config, simulate_ar, simulate_nmm
 NMM_GRAPH = ((0, 5), (1, 3), (6, 2))
 
 
-def ar_series():
-    series, _ = simulate_ar(10_000, seed=1)
+def ar_series(n_samples=10_000):
+    series, _ = simulate_ar(n_samples, seed=1)
     return series, EmbeddingParams(m=3, d=100), DelayGrid(range(1, 11))
+
+
+def long_ar_series():
+    return ar_series(20_000)
 
 
 def nmm_series():
@@ -35,7 +41,8 @@ def nmm_series():
     return decimate(series, 5), EmbeddingParams(m=3, d=1), DelayGrid(range(2, 21))
 
 
-def evidence_digest(series, params, delays) -> tuple[int, str]:
+def evidence_digest(series, params, delays) -> tuple[int, int, str]:
+    """Row count, largest conditioning set and sha256 of the Evidence rows."""
     pi, tensor = candidate_tensor(series, params, delays)
     rows = [
         (
@@ -48,7 +55,8 @@ def evidence_digest(series, params, delays) -> tuple[int, str]:
         )
         for r in prune_tensor(pi, tensor, delta=0.1)
     ]
-    return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    largest = max(len(members) for *_, members, _ in rows)
+    return len(rows), largest, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def ce_tensor_digest(series, m: int) -> str:
@@ -58,15 +66,21 @@ def ce_tensor_digest(series, m: int) -> str:
 
 
 @pytest.mark.parametrize(
-    "make, n_rows, digest",
+    "make, n_rows, largest, digest",
     [
-        (ar_series, 48, "7db8e13df5d2304a6d65a4fb535269e8e4cb441a40aa7074409a7068e5cf3005"),
-        (nmm_series, 1064, "bd21e9f213e3b2c69d6f8d2fc497b97e93e30830a9ea3c260c374c21a4d3f747"),
+        (ar_series, 48, 2, "7db8e13df5d2304a6d65a4fb535269e8e4cb441a40aa7074409a7068e5cf3005"),
+        (nmm_series, 1064, 2, "bd21e9f213e3b2c69d6f8d2fc497b97e93e30830a9ea3c260c374c21a4d3f747"),
+        (
+            long_ar_series,
+            49,
+            3,
+            "2c4d80994eca158f78aa561125c6b6aaa1811cacd308f04dbd3c3291cc3d28d0",
+        ),
     ],
-    ids=["ar", "nmm"],
+    ids=["ar", "nmm", "ar-r3"],
 )
-def test_evidence_rows_pinned(make, n_rows, digest):
-    assert evidence_digest(*make()) == (n_rows, digest)
+def test_evidence_rows_pinned(make, n_rows, largest, digest):
+    assert evidence_digest(*make()) == (n_rows, largest, digest)
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,7 @@ class TestSimulateNmm:
             ({"delay_ms": 5.0}, 10.0, 2, 100),  # shorter than the rise: one slot
             ({"noise_var": 0.0, "noise_mean": 0.2, "g_s": 30.0, "h_f": 300.0}, 5.0, 4, 1),
             ({"n_regions": 12}, 20.0, 6, 100),  # the full-shape operands follow n
+            ({}, 100.0, 7, 100),  # every pair coupled: 8 nonzeros in each row of w
         ],
     )
     def test_equals_per_population_loop(self, changes, k_percent, seed, transient):
