@@ -337,6 +337,8 @@ def cmd_sweep(args) -> int:
 def cmd_windowed(args) -> int:
     check("overlap", args.overlap)
     check("window_s", args.window_s)
+    if args.sample_rate is None:
+        raise ValueError("windowed analysis requires a sample rate")
     cfg, series, params, delays, settings = _pipeline_inputs(args)
     windows = windowed_analysis(series, args.window_s, args.overlap, params, delays, **settings)
     entries = [(mid_s, e) for mid_s, network in windows for e in network.edges]

@@ -114,17 +114,16 @@ class ConditioningSet:
         return max(t for _, t in self.members)
 
 
-def _conditional_entropy_from_counts(counts: np.ndarray):
+def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
     """H(col | row) in bits from joint count matrices; empty cells contribute 0.
 
     `counts` is one (rows, cols) matrix, giving a float, or a stack of them
-    with leading batch axes, giving an array of that batch shape. Each matrix
-    goes through the same operations in the same order either way, so a
-    batched value is bit-identical to the single-matrix one.
+    with leading batch axes, giving an array of that batch shape. `total` is
+    the sample count of every matrix, the sum of its cells; the caller knows
+    it and it is never 0. Each matrix goes through the same operations in the
+    same order either way, so a batched value is bit-identical to the
+    single-matrix one.
     """
-    total = counts.sum(axis=(-2, -1), keepdims=True)
-    if np.any(total == 0):
-        raise DegenerateSample("no samples to estimate entropy from")
     joint = counts / total
     row = joint.sum(axis=-1, keepdims=True)
     # an empty cell keeps 1.0, whose log2 times its 0 joint is +0.0
@@ -185,7 +184,9 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
         tgt, src = np.nonzero(~np.eye(n, dtype=bool))
         for j in range(len(delays)):
             pair_counts = counts[j].transpose(2, 0, 1, 3)[tgt, src]
-            values[tgt, src, j] = _conditional_entropy_from_counts(pair_counts)
+            values[tgt, src, j] = _conditional_entropy_from_counts(
+                pair_counts, pi.n_times - delays.delays[j]
+            )
         return CETensor(values=values, delays=delays, n_patterns=f)
     for j, tau in enumerate(delays):
         for src, tgt in permutations(range(n), 2):
@@ -241,10 +242,14 @@ def threshold(tensor: CETensor, lam: float) -> CETensor:
 
 def _joint_codes(pi: PatternMatrix, members, t_start: int, target: int) -> np.ndarray:
     """Base-m! code of the conditioning symbols at each t, the target's last."""
-    digits = [pi.symbols[t_start - tau : pi.n_times - tau, c] for c, tau in members]
-    codes = digits[0].astype(np.int64)
-    for digit in (*digits[1:], pi.symbols[t_start:, target]):
-        codes *= pi.n_patterns
+    f, n_times = pi.n_patterns, pi.n_times
+    digits = [pi.symbols[t_start - tau : n_times - tau, c] for c, tau in members]
+    digits.append(pi.symbols[t_start:, target])
+    # the symbols are int64, so the first product is a new int64 array
+    codes = digits[0] * f
+    codes += digits[1]
+    for digit in digits[2:]:
+        codes *= f
         codes += digit
     return codes
 
@@ -262,15 +267,17 @@ def conditional_entropy_given_set(
     t_start >= that maximum pins the window, which makes entropies for nested
     sets directly comparable.
     """
+    n_times, n_channels = pi.symbols.shape
     for channel, tau in cond.members:
-        if not (0 <= channel < pi.n_channels):
+        if not (0 <= channel < n_channels):
             raise ValueError(f"conditioning channel {channel} out of range")
-        if tau < 0 or tau >= pi.n_times:
+        if tau < 0 or tau >= n_times:
             raise LagTooLarge(f"conditioning delay {tau} out of range")
     f = pi.n_patterns
+    n_states = f ** len(cond)
     # the joint code of the set and the target symbol is an int64 below
-    # f ** (len(cond) + 1)
-    if f ** (len(cond) + 1) > 2**63:
+    # n_states * f
+    if n_states * f > 2**63:
         raise ConditioningTooLarge(
             f"{len(cond)} conditioning members over {f} patterns overflow int64 joint codes"
         )
@@ -279,19 +286,19 @@ def conditional_entropy_given_set(
         t_start = min_start
     elif t_start < min_start:
         raise ValueError(f"t_start {t_start} smaller than the largest delay {min_start}")
-    n_valid = pi.n_times - t_start
+    n_valid = n_times - t_start
     if n_valid < 1:
         raise DegenerateSample("no valid time indices for this conditioning set")
 
-    if n_valid / f ** len(cond) < MIN_SAMPLES_PER_STATE:
+    if n_valid / n_states < MIN_SAMPLES_PER_STATE:
         warnings.warn(
-            f"only {n_valid} samples for {f ** len(cond)} joint conditioning states; "
+            f"only {n_valid} samples for {n_states} joint conditioning states; "
             "entropy estimate may be unreliable",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    return _entropy_of_codes(_joint_codes(pi, cond.members, t_start, target), f ** len(cond), f)
+    return _entropy_of_codes(_joint_codes(pi, cond.members, t_start, target), n_states, f)
 
 
 # Largest dense joint alphabet: counts and estimator arrays take 24 B a bin, 240 MB here.
@@ -302,7 +309,7 @@ def _entropy_of_codes(codes: np.ndarray, n_states: int, f: int) -> float:
     """H(last digit | the other digits), in bits, of base-f codes in [0, n_states * f)."""
     if n_states * f <= _DENSE_MAX_BINS:
         counts = np.bincount(codes, minlength=n_states * f).reshape(n_states, f)
-        return _conditional_entropy_from_counts(counts)
+        return _conditional_entropy_from_counts(counts, codes.size)
     return _conditional_entropy_sparse(codes, f)
 
 

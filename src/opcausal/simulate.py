@@ -394,7 +394,8 @@ def simulate_nmm(
 
             # slot t % delay was last written at step t - delay
             slot = z_p_buffer[t % buffer_len]
-            np.add(n_p, w @ slot, u_p)
+            w.dot(slot, u_p)
+            np.add(n_p, u_p, u_p)
             slot[:] = z_p
             np.divide(u_p, c_pe, u_p)
             np.add(drive_e, u_p, drive_e)

@@ -535,6 +535,18 @@ class TestCommands:
         assert "sample rate" in capsys.readouterr().err
         assert not windows.exists()
 
+    def test_windowed_without_sample_rate_fails_before_reading_the_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "read_series_csv", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "windows.csv"
+        argv = ["windowed", "--input", str(tmp_path / "series.csv"), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: windowed analysis requires a sample rate\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep"
         rc = main(
