@@ -119,9 +119,9 @@ def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
 
     `counts` is one (rows, cols) matrix, giving a float, or a stack of them
     with leading batch axes, giving an array of that batch shape. `total` is
-    the sample count of every matrix, the sum of its cells; the caller knows
-    it and it is never 0. Each matrix goes through the same operations in the
-    same order either way, so a batched value is bit-identical to the
+    the sample count of every matrix, the sum of its cells, which each caller
+    knows and which is never 0. Each matrix goes through the same operations
+    in the same order either way, so a batched value is bit-identical to the
     single-matrix one.
     """
     joint = counts / total
@@ -182,11 +182,9 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
         # and channel tgt in symbol b at t + tau_j
         counts = _lagged_counts_by_product(pi, delays).reshape(len(delays), n, f, n, f)
         tgt, src = np.nonzero(~np.eye(n, dtype=bool))
-        for j in range(len(delays)):
+        for j, tau in enumerate(delays):
             pair_counts = counts[j].transpose(2, 0, 1, 3)[tgt, src]
-            values[tgt, src, j] = _conditional_entropy_from_counts(
-                pair_counts, pi.n_times - delays.delays[j]
-            )
+            values[tgt, src, j] = _conditional_entropy_from_counts(pair_counts, pi.n_times - tau)
         return CETensor(values=values, delays=delays, n_patterns=f)
     for j, tau in enumerate(delays):
         for src, tgt in permutations(range(n), 2):
