@@ -335,6 +335,9 @@ class TestSimulateNmm:
             ({"noise_var": 0.0, "noise_mean": 0.2, "g_s": 30.0, "h_f": 300.0}, 5.0, 4, 1),
             ({"n_regions": 12}, 20.0, 6, 100),  # the full-shape operands follow n
             ({}, 100.0, 7, 100),  # every pair coupled: 8 nonzeros in each row of w
+            ({"delay_ms": 300.0}, 25.0, 8, 100),  # 290 slots: longer than a noise block
+            # n_f is a signed zero at every step, so the l row's sign of zero shows
+            ({"noise_var": 0.0, "noise_mean": -0.0}, 25.0, 9, 0),
         ],
     )
     def test_equals_per_population_loop(self, changes, k_percent, seed, transient):
