@@ -141,6 +141,8 @@ def co_occurrence_entropy(
     src, dst = np.asarray(src), np.asarray(dst)
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src and dst must be one-dimensional and equally long")
+    if tau < 0:
+        raise ValueError(f"lag tau must be non-negative, got {tau}")
     n_pairs = src.size - tau
     if n_pairs < 1:
         raise LagTooLarge(f"lag {tau} leaves no valid pairs in a series of length {src.size}")

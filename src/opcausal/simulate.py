@@ -308,6 +308,11 @@ def simulate_nmm(
     n = cfg.n_regions
     if adjacency is None:
         adjacency = draw_nmm_graph(n, k_percent, rng)
+    elif np.shape(adjacency) != (n, n):
+        raise ValueError(
+            f"adjacency must have shape (n_regions, n_regions) = ({n}, {n}), "
+            f"got {np.shape(adjacency)}"
+        )
     w = cfg.coupling_weight * adjacency
     rise_samples = int(round(cfg.sample_rate / cfg.h_e))
     buffer_samples = max(cfg.delay_samples - rise_samples, 1)
@@ -316,13 +321,28 @@ def simulate_nmm(
 
     # The state is packed into (5, n) blocks with rows p, e, s, f, l:
     # pyramidal, excitatory, slow- and fast-inhibitory, and the auxiliary
-    # pair driven by n_f. Each step makes 24 numpy calls (19 ufuncs, one
-    # matrix-vector product, three row copies and one row lookup), each
-    # writing into a preallocated array. Every constant operand has the full
-    # shape of the call's output: no broadcast (k, 1) columns and no
-    # Python-float operands, since on blocks this small either costs more
-    # per call than the arithmetic. Every element goes through the same
-    # floating-point operations in the same order as the per-population form
+    # pair driven by n_f. Step t works in slot t % buffer_len of per-slot
+    # blocks: potentials (4, n), rates (5, n) and inputs (5, n). The slot's
+    # rate block still holds the z_p of step t - buffer_len when step t
+    # begins, which is the delayed pulse density it couples in, so the
+    # rate blocks are the delay buffer. Over a run of steps that stays in
+    # one buffer period and one noise block, every coupling input is
+    # therefore known before the run starts: one stacked product, one add
+    # of n_p and one division by c_pe fill the inputs' e rows for the whole
+    # run, and one copy fills their l rows with n_f. Each step then makes
+    # 17 ufunc calls (5 potential, 5 rate, 1 drive, 6 Euler), each writing
+    # into a preallocated array: drive = rates + inputs is z_e + u_p / c_pe
+    # in the e row, 0.0 + n_f in the l row (which keeps 0.0 in its rates)
+    # and the rate itself in the others. The product is the stacked
+    # np.matmul(w, (L, n, 1)), which runs one matrix-vector product per
+    # slot, as w.dot(slot) does; the 2-D forms (Z @ w.T, np.dot, einsum)
+    # run as one matrix-matrix product, which sums in another order and
+    # differed in the last bit on most random graphs. Every constant operand
+    # of the per-step calls has the full shape of the call's output: no
+    # broadcast (k, 1) columns and no Python-float operands, since on blocks
+    # this small either costs more per call than the arithmetic. Every
+    # element goes through the same floating-point operations in the same
+    # order as the per-population form
     #     dx = g*h * input - 2*h * x - h**2 * y,  y += dt * x,  x += dt * dx,
     # so the output is bit-identical to it (tests/test_simulate.py keeps that
     # form as the reference).
@@ -340,15 +360,11 @@ def simulate_nmm(
     scratch = np.empty((2, 5, n))
     stiff, damped = scratch
     step = np.full((2, 5, n), dt)
-    # drive[:4] holds the firing rates z_p, z_e, z_s, z_f; the e row then
-    # gains u_p / c_pe and the l row holds n_f
     drive = np.empty((5, n))
-    rates, drive_e, drive_l = drive[:4], drive[1], drive[4]
 
     # membrane potentials [v_p, v_e, v_s, v_f]: v_p and v_f each subtract
     # two terms from a third, the terms being the rows (e, s, f) and
     # (p, s, l) of y times their coupling constants
-    potential = np.empty((4, n))
     terms = np.empty((2, 3, n))
     terms_p, terms_f = terms
     first, second, third = terms[:, 0], terms[:, 1], terms[:, 2]
@@ -356,17 +372,23 @@ def simulate_nmm(
     k_f = np.repeat([[cfg.c_fp], [cfg.c_fs], [cfg.c_ff]], n, axis=-1)
     k_es = np.repeat([[cfg.c_ep], [cfg.c_sp]], n, axis=-1)
     y_esf, y_psl, y_p = y[1:4], y[::2], y[0]
-    v_p, v_es, v_pf = potential[0], potential[1:3], potential[::3]
 
     neg_r, one, two_e0, e0 = (
         np.full((4, n), value) for value in (-cfg.r, 1.0, 2.0 * cfg.e0, cfg.e0)
     )
-    c_pe = np.full(n, cfg.c_pe)
     noise_std = math.sqrt(cfg.noise_var)
     buffer_len = buffer_samples
-    z_p_buffer = np.zeros((buffer_len, n))
-    z_p = rates[0]
-    u_p = np.empty(n)
+    potentials = np.empty((buffer_len, 4, n))
+    # rows z_p, z_e, z_s, z_f and an l row of 0.0; z_p starts at 0.0 too,
+    # as the pulse density delivered before any was sent
+    rates = np.zeros((buffer_len, 5, n))
+    # rows 0.0, u_p / c_pe, 0.0, 0.0, n_f
+    inputs = np.zeros((buffer_len, 5, n))
+    delayed_z_p, input_e, input_l = rates[:, 0, :, None], inputs[:, 1], inputs[:, 4]
+    slots = [
+        (potentials[s], potentials[s, ::3], potentials[s, 1:3], rates[s, :4], rates[s], inputs[s])
+        for s in range(buffer_len)
+    ]
     # out[t] is v_p at the start of step t, which is the output
     # c_pe * y_e - c_ps * y_s - c_pf * y_f of step t - 1
     out = np.empty((total + 1, n))
@@ -377,36 +399,39 @@ def simulate_nmm(
         noise = rng.standard_normal((steps, 2, n))
         noise *= noise_std
         noise += cfg.noise_mean
-        for t, n_p, n_f in zip(range(start, start + steps), noise[:, 0], noise[:, 1]):
-            np.multiply(k_p, y_esf, terms_p)
-            np.multiply(k_f, y_psl, terms_f)
-            np.subtract(first, second, v_pf)
-            np.subtract(v_pf, third, v_pf)
-            np.multiply(k_es, y_p, v_es)
-            out[t] = v_p
+        t = start
+        while t < start + steps:
+            first_slot = t % buffer_len
+            length = min(buffer_len - first_slot, start + steps - t)
+            run = slice(first_slot, first_slot + length)
+            n_p, n_f = noise[t - start : t - start + length].transpose(1, 0, 2)
+            np.matmul(w, delayed_z_p[run], input_e[run, :, None])
+            np.add(n_p, input_e[run], input_e[run])
+            np.divide(input_e[run], cfg.c_pe, input_e[run])
+            input_l[run] = n_f
+            for potential, v_pf, v_es, rate, slot_rates, slot_inputs in slots[run]:
+                np.multiply(k_p, y_esf, terms_p)
+                np.multiply(k_f, y_psl, terms_f)
+                np.subtract(first, second, v_pf)
+                np.subtract(v_pf, third, v_pf)
+                np.multiply(k_es, y_p, v_es)
 
-            # rates = 2 * e0 / (1 + exp(-r * potential)) - e0
-            np.multiply(neg_r, potential, rates)
-            np.exp(rates, rates)
-            np.add(one, rates, rates)
-            np.divide(two_e0, rates, rates)
-            np.subtract(rates, e0, rates)
+                # rate = 2 * e0 / (1 + exp(-r * potential)) - e0
+                np.multiply(neg_r, potential, rate)
+                np.exp(rate, rate)
+                np.add(one, rate, rate)
+                np.divide(two_e0, rate, rate)
+                np.subtract(rate, e0, rate)
 
-            # slot t % delay was last written at step t - delay
-            slot = z_p_buffer[t % buffer_len]
-            w.dot(slot, u_p)
-            np.add(n_p, u_p, u_p)
-            slot[:] = z_p
-            np.divide(u_p, c_pe, u_p)
-            np.add(drive_e, u_p, drive_e)
-            drive_l[:] = n_f
-
-            np.multiply(gain, drive, dx)
-            np.multiply(restoring, y_x, scratch)
-            np.subtract(dx, damped, dx)
-            np.subtract(dx, stiff, dx)
-            np.multiply(step, x_dx, scratch)
-            np.add(y_x, scratch, y_x)
+                np.add(slot_rates, slot_inputs, drive)
+                np.multiply(gain, drive, dx)
+                np.multiply(restoring, y_x, scratch)
+                np.subtract(dx, damped, dx)
+                np.subtract(dx, stiff, dx)
+                np.multiply(step, x_dx, scratch)
+                np.add(y_x, scratch, y_x)
+            out[t : t + length] = potentials[run, 0]
+            t += length
         if not np.isfinite(out[start : start + steps]).all():
             raise NonFiniteState("neural mass integration diverged")
 

@@ -136,6 +136,14 @@ class TestCoOccurrenceOracle:
         with pytest.raises(LagTooLarge):
             co_occurrence_entropy(np.zeros(5, dtype=int), np.zeros(5, dtype=int), 5, 6)
 
+    # -1 once read dst's last symbol against every src symbol (a perfect link
+    # between independent streams), -3 failed inside numpy's broadcasting
+    @pytest.mark.parametrize("tau", [-1, -3])
+    def test_negative_lag_rejected(self, rng, tau):
+        a, b = rng.integers(0, 6, size=(2, 1000))
+        with pytest.raises(ValueError, match=f"lag tau must be non-negative, got {tau}"):
+            co_occurrence_entropy(a, b, tau, 6)
+
 
 class TestConditionalEntropyGivenSet:
     # the oracle is compared on 200 samples, below 10 per state on purpose

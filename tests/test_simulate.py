@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,12 @@ class TestSimulateNmm:
         adj[4, 1] = 1.0  # region 1 drives region 4
         _, truth = simulate_nmm(cfg, 5.0, 300, seed=0, adjacency=adj)
         assert truth.pairs() == {(1, 4)}
+
+    @pytest.mark.parametrize("shape", [(3, 3), (8, 9), (64,)])
+    def test_adjacency_of_wrong_shape_rejected(self, shape):
+        message = f"adjacency must have shape (n_regions, n_regions) = (8, 8), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_nmm(reproduction_nmm_config(), 5.0, 300, seed=0, adjacency=np.zeros(shape))
 
     # sha256 of the output bytes at T=3000 for criterion 7's seeds and for
     # the benchmark's fixed graph (5 -> 0, 3 -> 1, 2 -> 6). The criterion-7
