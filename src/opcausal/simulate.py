@@ -315,7 +315,7 @@ def simulate_nmm(
         )
     w = cfg.coupling_weight * adjacency
     rise_samples = int(round(cfg.sample_rate / cfg.h_e))
-    buffer_samples = max(cfg.delay_samples - rise_samples, 1)
+    buffer_len = max(cfg.delay_samples - rise_samples, 1)
     dt = 1.0 / cfg.sample_rate
     total = n_samples + transient_samples
 
@@ -377,7 +377,6 @@ def simulate_nmm(
         np.full((4, n), value) for value in (-cfg.r, 1.0, 2.0 * cfg.e0, cfg.e0)
     )
     noise_std = math.sqrt(cfg.noise_var)
-    buffer_len = buffer_samples
     potentials = np.empty((buffer_len, 4, n))
     # rows z_p, z_e, z_s, z_f and an l row of 0.0; z_p starts at 0.0 too,
     # as the pulse density delivered before any was sent
