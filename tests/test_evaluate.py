@@ -124,10 +124,10 @@ PINNED_REALIZATIONS = [
 
 class TestRunRealization:
     @pytest.mark.parametrize("system,cell,seed,expected", PINNED_REALIZATIONS)
-    def test_pinned_metrics(self, system, cell, seed, expected):
+    def test_pinned_metrics(self, system, cell, seed, expected, exp_probe):
         nmm_config = reproduction_nmm_config() if system == "nmm" else None
         m = run_realization(system, cell, seed, nmm_config)
-        assert (m.tpr, m.fpr, m.f1) == expected
+        assert (m.tpr, m.fpr, m.f1) == expected, exp_probe
 
     def test_ar_realization_recovers_structure(self):
         m = run_realization("ar", {"T": 10_000, "delta": 0.15}, seed=11)

@@ -79,8 +79,8 @@ def ce_tensor_digest(series, m: int) -> str:
     ],
     ids=["ar", "nmm", "ar-r3"],
 )
-def test_evidence_rows_pinned(make, n_rows, largest, digest):
-    assert evidence_digest(*make()) == (n_rows, largest, digest)
+def test_evidence_rows_pinned(make, n_rows, largest, digest, exp_probe):
+    assert evidence_digest(*make()) == (n_rows, largest, digest), exp_probe
 
 
 @pytest.mark.parametrize(
@@ -90,6 +90,6 @@ def test_evidence_rows_pinned(make, n_rows, largest, digest):
         (4, "e1daa113211e3443893cc223c5c4359d026292c21eb3a308087c32216c37b4d2"),
     ],
 )
-def test_ce_tensor_values_pinned(m, digest):
+def test_ce_tensor_values_pinned(m, digest, exp_probe):
     series, _, _ = ar_series()
-    assert ce_tensor_digest(series, m) == digest
+    assert ce_tensor_digest(series, m) == digest, exp_probe

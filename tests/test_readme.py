@@ -18,7 +18,7 @@ def test_library_example_runs(capsys):
     assert capsys.readouterr().out.startswith("Metrics(")
 
 
-def test_ar_delta_sweep_line_runs(tmp_path):
+def test_ar_delta_sweep_line_runs(tmp_path, exp_probe):
     # the documented T=1e4, R=10 sweep, shortened; these F1 means are the
     # ones the former scripts/ar_benchmark.py printed at T=2000, R=2
     (line,) = re.findall(r"`(opcausal sweep --system ar --delta [^`]*)`", README.read_text())
@@ -30,7 +30,7 @@ def test_ar_delta_sweep_line_runs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["delta"] for row in rows] == ["0.02", "0.05", "0.1", "0.15", "0.2", "0.3"]
     f1 = [f"{float(row['f1_mean']):.3f}" for row in rows]
-    assert f1 == ["0.062", "0.064", "0.643", "0.924", "0.924", "0.871"]
+    assert f1 == ["0.062", "0.064", "0.643", "0.924", "0.924", "0.871"], exp_probe
 
 
 def test_command_lines_parse():

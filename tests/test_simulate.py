@@ -99,9 +99,11 @@ class TestSimulateAr:
              "4370223d63f4464199da6cc15f4a9691edb20b4286b43d9c19890038e74f654f"),
         ],
     )
-    def test_output_bytes_pinned(self, n_samples, seed, couplings, n_channels, digest):
+    def test_output_bytes_pinned(
+        self, n_samples, seed, couplings, n_channels, digest, exp_probe
+    ):
         series, _ = simulate_ar(n_samples, seed, couplings=couplings, n_channels=n_channels)
-        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest, exp_probe
 
     @pytest.mark.parametrize(
         "n_samples, seed, couplings, n_channels, burn_in",
@@ -314,11 +316,11 @@ class TestSimulateNmm:
             (38, "cea278d0f744b280f32ea8f9f0e080a5ffdf36a506e99e3b6d13dc813e732c24"),
         ],
     )
-    def test_output_bytes_pinned(self, seed, digest):
+    def test_output_bytes_pinned(self, seed, digest, exp_probe):
         series, _ = simulate_nmm(reproduction_nmm_config(), 5.0, 3000, seed)
-        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(series.data.tobytes()).hexdigest() == digest, exp_probe
 
-    def test_output_bytes_pinned_fixed_graph(self):
+    def test_output_bytes_pinned_fixed_graph(self, exp_probe):
         adj = np.zeros((8, 8))
         for target, source in ((0, 5), (1, 3), (6, 2)):
             adj[target, source] = 1.0
@@ -326,7 +328,7 @@ class TestSimulateNmm:
         assert (
             hashlib.sha256(series.data.tobytes()).hexdigest()
             == "6ca77e854a55d0488b1bafdbb4b964c4b49982f8cbff300e9557b48c9ba80f25"
-        )
+        ), exp_probe
 
     def test_divergence_raises(self):
         cfg = dataclasses.replace(reproduction_nmm_config(), noise_mean=float("nan"))
