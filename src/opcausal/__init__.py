@@ -17,7 +17,6 @@ from .entropy import (
     ConditioningSet,
     DelayGrid,
     ce_tensor,
-    co_occurrence_entropy,
     conditional_entropy_given_set,
     threshold,
 )
@@ -29,7 +28,6 @@ from .ordinal import (
     build_moptn,
     decimate,
     embed,
-    encode_series,
 )
 from .simulate import (
     GroundTruth,
@@ -58,11 +56,9 @@ __all__ = [
     "bivariate_network",
     "build_moptn",
     "ce_tensor",
-    "co_occurrence_entropy",
     "conditional_entropy_given_set",
     "decimate",
     "embed",
-    "encode_series",
     "epsilon_test",
     "infer_network",
     "metrics",

@@ -22,7 +22,7 @@ from .errors import (
     TooFewChannels,
     check,
 )
-from .ordinal import PatternMatrix, _check_symbols
+from .ordinal import PatternMatrix
 
 # Below this many samples per joint conditioning state the plug-in entropy
 # estimate becomes unreliable; we warn rather than fail.
@@ -132,25 +132,6 @@ def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
     terms *= joint
     h = -terms.reshape(*counts.shape[:-2], -1).sum(axis=-1)
     return float(h) if counts.ndim == 2 else h
-
-
-def co_occurrence_entropy(
-    src: np.ndarray, dst: np.ndarray, tau: int, n_patterns: int
-) -> float:
-    """Conditional entropy of dst's symbol at t + tau given src's at t, in bits."""
-    src, dst = np.asarray(src), np.asarray(dst)
-    if src.shape != dst.shape or src.ndim != 1:
-        raise ValueError("src and dst must be one-dimensional and equally long")
-    if tau < 0:
-        raise ValueError(f"lag tau must be non-negative, got {tau}")
-    n_pairs = src.size - tau
-    if n_pairs < 1:
-        raise LagTooLarge(f"lag {tau} leaves no valid pairs in a series of length {src.size}")
-    _check_symbols(src, n_patterns)
-    _check_symbols(dst, n_patterns)
-    src, dst = src.astype(np.int64), dst.astype(np.int64)
-    codes = src[:n_pairs] * n_patterns + dst[tau:]
-    return _entropy_of_codes(codes, n_patterns, n_patterns)
 
 
 # Largest alphabet for which ce_tensor counts by matrix product. The dense

@@ -92,12 +92,6 @@ def decimate(series: MultivariateSeries, factor: int) -> MultivariateSeries:
     )
 
 
-def _check_symbols(symbols: np.ndarray, f: int) -> None:
-    """Raise ValueError unless every symbol is an integer in [0, f)."""
-    if symbols.dtype.kind not in "iu" or np.any((symbols < 0) | (symbols >= f)):
-        raise ValueError(f"symbols must be integers in [0, {f})")
-
-
 @dataclass
 class PatternMatrix:
     """T' x N int64 ordinal symbol indices in [0, m! - 1], each channel contiguous."""
@@ -107,7 +101,9 @@ class PatternMatrix:
 
     def __post_init__(self):
         symbols = np.asarray(self.symbols)
-        _check_symbols(symbols, self.params.n_patterns)
+        f = self.params.n_patterns
+        if symbols.dtype.kind not in "iu" or np.any((symbols < 0) | (symbols >= f)):
+            raise ValueError(f"symbols must be integers in [0, {f})")
         self.symbols = np.asfortranarray(symbols, dtype=np.int64)
 
     @property
@@ -183,16 +179,6 @@ def _encode(data: np.ndarray, params: EmbeddingParams) -> np.ndarray:
             code += inv[e] * weights[rank[e]]
         out[r0:r1] = code
     return out
-
-
-def encode_series(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
-    """Ordinal symbol sequence of a single channel; NonFiniteValue for NaN or inf."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("encode_series expects a one-dimensional series")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteValue("series contains NaN or infinite samples")
-    return _encode(x[:, None], params)[:, 0]
 
 
 def build_moptn(series: MultivariateSeries, params: EmbeddingParams) -> PatternMatrix:

@@ -16,7 +16,6 @@ from opcausal import (
     EmbeddingParams,
     MultivariateSeries,
     bivariate_network,
-    co_occurrence_entropy,
     conditional_entropy_given_set,
     infer_network,
     reproduction_nmm_config,
@@ -108,22 +107,24 @@ def test_criterion_3_lorenz_chain():
 
 def test_criterion_4_entropy_bounds_and_limits():
     """(a) self-CE zero, (b) independent-stream limit, (c) range, (d) monotone."""
+    from test_entropy import pair_ce
+
     rng = np.random.default_rng(BASE_SEED)
     h_max = math.log2(6)
 
     x = rng.integers(0, 6, size=20_000)
-    part_a = co_occurrence_entropy(x, x, 0, 6) == 0.0
+    part_a = pair_ce(x, x, 0) == 0.0
 
     a = rng.integers(0, 6, size=20_000)
     b = rng.integers(0, 6, size=20_000)
-    h_indep = co_occurrence_entropy(a, b, 3, 6)
+    h_indep = pair_ce(a, b, 3)
     part_b = abs(h_indep - h_max) < 0.02
 
     part_c = True
     for _ in range(50):
         u = rng.integers(0, 6, size=500)
         v = rng.integers(0, 6, size=500)
-        h = co_occurrence_entropy(u, v, int(rng.integers(0, 5)), 6)
+        h = pair_ce(u, v, int(rng.integers(0, 5)))
         if not (0.0 <= h <= h_max + 1e-12):
             part_c = False
 
@@ -158,6 +159,7 @@ def test_criterion_5_oracle_equivalence():
     from test_entropy import (
         oracle_co_occurrence_entropy,
         oracle_conditional_entropy_given_set,
+        pair_ce,
     )
 
     rng = np.random.default_rng(BASE_SEED)
@@ -167,7 +169,7 @@ def test_criterion_5_oracle_equivalence():
         tau = int(rng.integers(0, min(4, n)))
         src = rng.integers(0, 6, size=n)
         dst = rng.integers(0, 6, size=n)
-        got = co_occurrence_entropy(src, dst, tau, 6)
+        got = pair_ce(src, dst, tau)
         want = oracle_co_occurrence_entropy(src, dst, tau, 6)
         worst_pair = max(worst_pair, abs(got - want))
 

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from opcausal import EmbeddingParams, MultivariateSeries, build_moptn, embed
 from opcausal.errors import NonFiniteValue, SeriesTooShort
-from opcausal.ordinal import decimate, encode_series
+from opcausal.ordinal import decimate
 
 
 def lex_rank(perm):
@@ -20,9 +20,14 @@ def lex_rank(perm):
     return ordered.index(tuple(perm))
 
 
+def encode_channel(x, params):
+    """Ordinal symbols of the one-channel series x, as build_moptn encodes them."""
+    return build_moptn(MultivariateSeries(data=x), params).symbols[:, 0]
+
+
 def encode_vector(z):
     """Pattern index of one vector: the single symbol of the series z at d=1."""
-    (symbol,) = encode_series(np.asarray(z, dtype=float), EmbeddingParams(m=len(z), d=1))
+    (symbol,) = encode_channel(z, EmbeddingParams(m=len(z), d=1))
     return int(symbol)
 
 
@@ -114,7 +119,7 @@ class TestEmbed:
         params = EmbeddingParams(m=m, d=d)
         t = params.span + 1 + extra
         x = np.random.default_rng(0).standard_normal(t)
-        assert encode_series(x, params).size == t - (m - 1) * d
+        assert encode_channel(x, params).size == t - (m - 1) * d
 
 
 class TestEncodeSeries:
@@ -123,10 +128,10 @@ class TestEncodeSeries:
         params = EmbeddingParams(m=4, d=3)
         vectors = embed(x, params)
         expected = [encode_vector(v) for v in vectors]
-        np.testing.assert_array_equal(encode_series(x, params), expected)
+        np.testing.assert_array_equal(encode_channel(x, params), expected)
 
     def test_monotone_series_is_all_identity(self):
-        symbols = encode_series(np.arange(50.0), EmbeddingParams(m=3, d=2))
+        symbols = encode_channel(np.arange(50.0), EmbeddingParams(m=3, d=2))
         assert np.all(symbols == 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -134,7 +139,7 @@ class TestEncodeSeries:
         x = rng.standard_normal(100)
         x[40] = bad
         with pytest.raises(NonFiniteValue, match="NaN or infinite"):
-            encode_series(x, EmbeddingParams(m=3, d=2))
+            encode_channel(x, EmbeddingParams(m=3, d=2))
 
 
 class TestBuildMoptn:
@@ -147,8 +152,8 @@ class TestBuildMoptn:
         data = rng.standard_normal((500, 2))
         params = EmbeddingParams(m=3, d=2)
         pi = build_moptn(MultivariateSeries(data=data), params)
-        np.testing.assert_array_equal(pi.symbols[:, 0], encode_series(data[:, 0], params))
-        np.testing.assert_array_equal(pi.symbols[:, 1], encode_series(data[:, 1], params))
+        np.testing.assert_array_equal(pi.symbols[:, 0], encode_channel(data[:, 0], params))
+        np.testing.assert_array_equal(pi.symbols[:, 1], encode_channel(data[:, 1], params))
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
