@@ -158,18 +158,26 @@ def write_manifest(path: str | Path, config: dict) -> None:
     _write_json(path, {**config, "tool_version": __version__}, sort_keys=True, default=str)
 
 
+def _delay_number(spec: str, text: str) -> float:
+    """float(text), or an OpcausalError that names the delay specification it is from."""
+    try:
+        return float(text)
+    except ValueError:
+        raise OpcausalError(f"delay specification {spec!r}: {text!r} is not a number") from None
+
+
 def parse_delays(spec: str, sample_rate: float | None, in_ms: bool) -> DelayGrid:
     """Parse 'a-b[:step]' or a comma list, optionally in milliseconds."""
     spec = spec.strip()
     if "-" in spec and not spec.startswith("-"):
         body, _, step_s = spec.partition(":")
         lo_s, _, hi_s = body.partition("-")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s or 1.0)
+        lo, hi, step = (_delay_number(spec, v) for v in (lo_s, hi_s, step_s or "1"))
         if not (np.isfinite([lo, hi, step]).all() and step > 0):
             raise OpcausalError(f"delay range {spec!r} needs finite bounds and a positive step")
         values = list(np.arange(lo, hi + step / 2, step))
     else:
-        values = [float(v) for v in spec.split(",")]
+        values = [_delay_number(spec, v) for v in spec.split(",")]
         if not np.isfinite(values).all():
             raise OpcausalError(f"delay specification {spec!r} is not finite")
     if in_ms:

@@ -249,6 +249,8 @@ def conditional_entropy_given_set(
     sets directly comparable.
     """
     n_times, n_channels = pi.symbols.shape
+    if not (0 <= target < n_channels):
+        raise ValueError(f"target channel {target} out of range")
     for channel, tau in cond.members:
         if not (0 <= channel < n_channels):
             raise ValueError(f"conditioning channel {channel} out of range")

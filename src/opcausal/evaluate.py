@@ -21,7 +21,7 @@ import numpy as np
 
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
-from .errors import ChannelMismatch, WindowTooShort, check
+from .errors import ChannelMismatch, DegenerateSample, WindowTooShort, check
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
     GroundTruth,
@@ -323,7 +323,10 @@ def windowed_analysis(
     lam: float = DEFAULT_LAMBDA,
     delta: float = DEFAULT_DELTA,
 ) -> list[tuple[float, CausalNetwork]]:
-    """(window midpoint in s, inferred network) for each sliding window, in order."""
+    """(window midpoint in s, inferred network) for each sliding window, in order.
+
+    A DegenerateSample from one window (a channel flat across it) names the window's span.
+    """
     if series.sample_rate is None:
         raise ValueError("windowed analysis requires a sample rate")
     check("overlap", overlap)
@@ -349,6 +352,10 @@ def windowed_analysis(
             sample_rate=fs,
             channel_names=list(series.channel_names),
         )
-        network = infer_network(chunk, params, delays, lam=lam, delta=delta)
+        try:
+            network = infer_network(chunk, params, delays, lam=lam, delta=delta)
+        except DegenerateSample as exc:
+            span = f"window {start / fs:.3f}-{(start + win_len) / fs:.3f} s"
+            raise DegenerateSample(f"{span}: {exc}") from None
         windows.append(((start + win_len / 2.0) / fs, network))
     return windows

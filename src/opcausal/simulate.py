@@ -222,11 +222,18 @@ class NmmConfig:
     n_regions: int = 8
 
     def __post_init__(self):
-        for name in ("h_e", "h_s", "h_f", "e0", "r", "sample_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.delay_ms <= 0:
-            raise ValueError("delay_ms must be positive")
+        # each rule is a comparison that holds, so NaN breaks every rule
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if not (isinstance(self.n_regions, int) and self.n_regions >= 1):
+            raise ValueError(f"n_regions must be an integer >= 1, got {self.n_regions!r}")
+        for name in ("h_e", "h_s", "h_f", "e0", "r", "sample_rate", "delay_ms"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
+        if not self.noise_var >= 0:
+            raise ValueError(f"noise_var must be non-negative, got {self.noise_var}")
         delay_samples = self.delay_ms * self.sample_rate / 1000.0
         if abs(delay_samples - round(delay_samples)) > 1e-9:
             raise ValueError(

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -224,6 +225,13 @@ class TestParseDelays:
     )
     def test_zero_step_and_non_finite_bounds_rejected(self, spec):
         with pytest.raises(OpcausalError):
+            parse_delays(spec, None, False)
+
+    # "1e-3" reads as the range "1e" to "3"
+    @pytest.mark.parametrize("spec, item", [("1,,2", ""), ("1e-3", "1e")])
+    def test_unreadable_number_names_the_spec(self, spec, item):
+        message = f"delay specification {spec!r}: {item!r} is not a number"
+        with pytest.raises(OpcausalError, match=f"^{re.escape(message)}$"):
             parse_delays(spec, None, False)
 
 
@@ -624,6 +632,16 @@ class TestCommands:
         assert main([*argv, "--nmm-config", str(NMM_CONFIG)]) == 0
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert manifest["nmm_config"] == str(NMM_CONFIG)
+
+    def test_sweep_bad_nmm_config_fails_before_any_realization(self, tmp_path, capsys):
+        # the config is checked on load, so no realization runs and nothing is written
+        config = json.loads(NMM_CONFIG.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config, "noise_var": -1.0}))
+        argv = ["sweep", "--system", "nmm", "--T", "300", "--R", "2", "--nmm-config", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == "error: noise_var must be non-negative, got -1.0\n"
+        assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("system, T", [("lorenz", "0"), ("nmm", "0"), ("lorenz", "-5")])
     def test_simulate_fewer_than_one_sample_is_an_error(self, tmp_path, capsys, system, T):

@@ -1,6 +1,7 @@
 """Entropy estimators against independent brute-force oracles."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from math import log2
@@ -24,6 +25,7 @@ from opcausal import (
 from opcausal import entropy
 from opcausal.errors import (
     ConditioningTooLarge,
+    DegenerateSample,
     InvalidLambda,
     LagTooLarge,
     TooFewChannels,
@@ -257,6 +259,79 @@ class TestConditionalEntropyGivenSet:
             else []
         )
         assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
+
+
+def given_set(pi, target, members, t_start=None):
+    return conditional_entropy_given_set(pi, target, ConditioningSet(members), t_start)
+
+
+class TestEstimatorErrors:
+    """Each named error of ce_tensor and the set estimator, on 50 x 3 symbols."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda pi: ce_tensor(pi, DelayGrid([1, 50])),
+                LagTooLarge,
+                "max delay 50 exceeds symbol sequence length 50",
+            ),
+            (lambda pi: given_set(pi, 3, [(1, 2)]), ValueError, "target channel 3 out of range"),
+            (lambda pi: given_set(pi, -1, [(1, 2)]), ValueError, "target channel -1 out of range"),
+            (
+                lambda pi: given_set(pi, 0, [(3, 2)]),
+                ValueError,
+                "conditioning channel 3 out of range",
+            ),
+            (
+                lambda pi: given_set(pi, 0, [(-1, 2)]),
+                ValueError,
+                "conditioning channel -1 out of range",
+            ),
+            (
+                lambda pi: given_set(pi, 0, [(1, 50)]),
+                LagTooLarge,
+                "conditioning delay 50 out of range",
+            ),
+            (
+                lambda pi: given_set(pi, 0, [(1, 5)], t_start=4),
+                ValueError,
+                "t_start 4 smaller than the largest delay 5",
+            ),
+            (
+                lambda pi: given_set(pi, 0, [(1, 5)], t_start=50),
+                DegenerateSample,
+                "no valid time indices",
+            ),
+            (
+                lambda pi: ConditioningSet([]),
+                ValueError,
+                "conditioning set must have at least one member",
+            ),
+            (
+                lambda pi: ConditioningSet([(1, 2), (1, 2)]),
+                ValueError,
+                "duplicate (channel, delay) pair in conditioning set",
+            ),
+        ],
+        ids=[
+            "ce-lag",
+            "target-N",
+            "target-neg",
+            "member-N",
+            "member-neg",
+            "member-lag",
+            "t_start-low",
+            "t_start-T",
+            "empty-set",
+            "duplicate",
+        ],
+    )
+    def test_message(self, rng, call, error, message):
+        symbols = rng.integers(0, 6, size=(50, 3))
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
+        with pytest.raises(error, match=re.escape(message)):
+            call(pi)
 
 
 class TestSymbolLayout:

@@ -18,7 +18,7 @@ from opcausal import (
 )
 from opcausal import evaluate
 from opcausal.causal import CausalNetwork, Edge
-from opcausal.errors import ChannelMismatch, WindowTooShort
+from opcausal.errors import ChannelMismatch, DegenerateSample, WindowTooShort
 from opcausal.evaluate import SYSTEMS, ConfusionCounts, derive_seed, run_realization
 from opcausal.simulate import (
     GroundTruth,
@@ -286,6 +286,21 @@ class TestWindowedAnalysis:
         assert len(found) == 15
         assert [found[mid] for mid in found if mid + 25.0 <= 200.0] == [False] * 7
         assert [found[mid] for mid in found if mid - 25.0 >= 200.0] == [True] * 7
+
+    def test_flat_window_is_named(self, rng):
+        # channel 2 is flat over samples 1000-2000, exactly the third window
+        data = rng.standard_normal((4000, 3))
+        data[1000:2000, 2] = 0.0
+        series = MultivariateSeries(data=data, sample_rate=100.0)
+        message = "window 10.000-20.000 s: channel(s) 2 (x3) hold a single ordinal pattern"
+        with pytest.raises(DegenerateSample, match=f"^{re.escape(message)}$"):
+            windowed_analysis(
+                series,
+                window_s=10.0,
+                overlap=0.5,
+                params=EmbeddingParams(m=3, d=1),
+                delays=DelayGrid(range(1, 6)),
+            )
 
     def test_requires_sample_rate(self, random_series):
         with pytest.raises(ValueError):

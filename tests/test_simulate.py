@@ -220,6 +220,26 @@ class TestNmmConfig:
         with pytest.raises(ValueError):
             NmmConfig.from_dict(cfg)
 
+    # a NaN passes a `<= 0` check, so each rule must be a comparison that holds
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("noise_var", -1.0, "noise_var must be non-negative, got -1.0"),
+            ("noise_var", float("nan"), "noise_var must be non-negative, got nan"),
+            ("n_regions", 2.5, "n_regions must be an integer >= 1, got 2.5"),
+            ("n_regions", 0, "n_regions must be an integer >= 1, got 0"),
+            ("h_e", float("nan"), "h_e must be strictly positive, got nan"),
+            ("delay_ms", 0.0, "delay_ms must be strictly positive, got 0.0"),
+            ("r", "0.56", "r must be a number, got '0.56'"),
+            ("coupling_weight", True, "coupling_weight must be a number, got True"),
+        ],
+    )
+    def test_bad_value_rejected_on_load(self, key, value, message):
+        cfg = dataclasses.asdict(reproduction_nmm_config())
+        cfg[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NmmConfig.from_dict(cfg)
+
 
 class TestDrawNmmGraph:
     def test_edge_count(self):
