@@ -51,9 +51,9 @@ def oracle_co_occurrence_entropy(src, dst, tau, n_patterns):
     return h
 
 
-def pair_ce(src, dst, tau, m=3):
-    """H(dst at t + tau | src at t): entry [1, 0, 0] of ce_tensor on the pair (src, dst)."""
-    pi = PatternMatrix(symbols=np.column_stack([src, dst]), params=EmbeddingParams(m=m, d=1))
+def pair_ce(src, dst, tau):
+    """H(dst at t + tau | src at t) of m=3 symbols: ce_tensor's entry [1, 0, 0] on (src, dst)."""
+    pi = PatternMatrix(symbols=np.column_stack([src, dst]), params=EmbeddingParams(m=3, d=1))
     return ce_tensor(pi, DelayGrid([tau])).values[1, 0, 0]
 
 
