@@ -75,9 +75,9 @@ class CausalNetwork:
 
 
 def _candidate_links(tensor: CETensor):
-    """(target, source, delay, ce) of every candidate, by target, source, delay."""
+    """(source, target, delay, ce) of every candidate, by target, source, delay."""
     for m, n, j in zip(*np.nonzero(tensor.candidates())):
-        yield int(m), int(n), tensor.delays.delays[j], float(tensor.values[m, n, j])
+        yield int(n), int(m), tensor.delays.delays[j], float(tensor.values[m, n, j])
 
 
 def minimal_conditioning_set(
@@ -147,13 +147,15 @@ def lowest_ce_per_pair(links):
     return best
 
 
-def _edges(links, h_max: float, one_per_pair: bool = False) -> list[Edge]:
-    """Edges of (source, target, delay, ce) links, by source, target, delay."""
+def _network(links, h_max, params, delays, lam, delta, one_per_pair) -> CausalNetwork:
+    """Network of (source, target, delay, ce) links, edges by source, target, delay."""
     edges = [Edge(src, tgt, tau, ce, h_max - ce) for src, tgt, tau, ce in links]
     if one_per_pair:
         edges = list(lowest_ce_per_pair(edges).values())
     edges.sort(key=lambda e: (e.source, e.target, e.delay))
-    return edges
+    snapshot = {"m": params.m, "d": params.d, "delays": list(delays.delays),
+                "lambda": lam, "delta": delta}
+    return CausalNetwork(edges=edges, h_max=h_max, params=snapshot)
 
 
 def candidate_tensor(
@@ -186,12 +188,7 @@ def bivariate_network(
 ) -> CausalNetwork:
     """Network from thresholding alone; indirect links are not removed."""
     _, tensor = candidate_tensor(series, params, delays, lam)
-    links = [(n, m, tau, ce) for m, n, tau, ce in _candidate_links(tensor)]
-    return CausalNetwork(
-        edges=_edges(links, tensor.h_max),
-        h_max=tensor.h_max,
-        params=_param_snapshot(params, delays, lam, delta=None),
-    )
+    return _network(_candidate_links(tensor), tensor.h_max, params, delays, lam, None, False)
 
 
 def reliable_conditioning_size(pi: PatternMatrix) -> int:
@@ -226,22 +223,12 @@ def prune_tensor(
     r_eff = reliable_conditioning_size(pi)
     p_mins: dict[tuple[int, int], ConditioningSet] = {}
     rows = []
-    for m, n, tau, ce in _candidate_links(tensor):
+    for n, m, tau, ce in _candidate_links(tensor):
         if (m, n) not in p_mins:
             p_mins[m, n] = minimal_conditioning_set(tensor, m, n, r_eff)
         _, eps = epsilon_test(pi, m, n, tau, p_mins[m, n], delta)
         rows.append(Evidence(n, m, tau, ce, p_mins[m, n], eps))
     return rows
-
-
-def _param_snapshot(params, delays, lam, delta) -> dict[str, Any]:
-    return {
-        "m": params.m,
-        "d": params.d,
-        "delays": list(delays.delays),
-        "lambda": lam,
-        "delta": delta,
-    }
 
 
 def infer_network(
@@ -262,8 +249,4 @@ def infer_network(
     pi, tensor = candidate_tensor(series, params, delays, lam)
     rows = prune_tensor(pi, tensor, delta)
     kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]
-    return CausalNetwork(
-        edges=_edges(kept, tensor.h_max, one_per_pair=one_delay_per_pair),
-        h_max=tensor.h_max,
-        params=_param_snapshot(params, delays, lam, delta),
-    )
+    return _network(kept, tensor.h_max, params, delays, lam, delta, one_delay_per_pair)

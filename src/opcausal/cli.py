@@ -158,6 +158,11 @@ def write_manifest(path: str | Path, config: dict) -> None:
     _write_json(path, {**config, "tool_version": __version__}, sort_keys=True, default=str)
 
 
+# Most delays a range may list, counted before np.arange builds them: at N=2
+# and m=3 a grid of 10^6 lags already needs over 1 GB of ce_tensor counts.
+_MAX_DELAYS = 100_000
+
+
 def _delay_number(spec: str, text: str) -> float:
     """float(text), or an OpcausalError that names the delay specification it is from."""
     try:
@@ -175,6 +180,8 @@ def parse_delays(spec: str, sample_rate: float | None, in_ms: bool) -> DelayGrid
         lo, hi, step = (_delay_number(spec, v) for v in (lo_s, hi_s, step_s or "1"))
         if not (np.isfinite([lo, hi, step]).all() and step > 0):
             raise OpcausalError(f"delay range {spec!r} needs finite bounds and a positive step")
+        if (hi - lo) / step + 1 > _MAX_DELAYS:
+            raise OpcausalError(f"delay range {spec!r} lists more than {_MAX_DELAYS} delays")
         values = list(np.arange(lo, hi + step / 2, step))
     else:
         values = [_delay_number(spec, v) for v in spec.split(",")]

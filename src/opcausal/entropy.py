@@ -102,6 +102,8 @@ class ConditioningSet:
         members = tuple((int(c), int(t)) for c, t in members)
         if not members:
             raise ValueError("conditioning set must have at least one member")
+        if any(t < 0 for _, t in members):
+            raise ValueError("conditioning delays must be non-negative")
         if len(set(members)) != len(members):
             raise ValueError("duplicate (channel, delay) pair in conditioning set")
         object.__setattr__(self, "members", members)
@@ -254,7 +256,7 @@ def conditional_entropy_given_set(
     for channel, tau in cond.members:
         if not (0 <= channel < n_channels):
             raise ValueError(f"conditioning channel {channel} out of range")
-        if tau < 0 or tau >= n_times:
+        if tau >= n_times:
             raise LagTooLarge(f"conditioning delay {tau} out of range")
     f = pi.n_patterns
     n_states = f ** len(cond)

@@ -55,6 +55,10 @@ class WindowTooShort(OpcausalError):
     pass
 
 
+class TruthOffGrid(OpcausalError):
+    pass
+
+
 # setting -> (rule a good value obeys, message for a bad one); each rule is a
 # comparison that holds, so NaN breaks every rule
 SETTINGS = {

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
 
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
-from .errors import ChannelMismatch, DegenerateSample, WindowTooShort, check
+from .errors import ChannelMismatch, DegenerateSample, TruthOffGrid, WindowTooShort, check
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
 from .simulate import (
     GroundTruth,
@@ -217,6 +217,36 @@ def _system(name: str, keys, nmm_config=None) -> System:
     return SYSTEMS[name]
 
 
+def simulate_realization(
+    system: str,
+    cell: dict[str, Any],
+    seed: int,
+    nmm_config: NmmConfig | None = None,
+) -> tuple[MultivariateSeries, GroundTruth, DelayGrid]:
+    """simulate -> observation noise -> decimation: the series, truth and grid to score.
+
+    A truth delay off a delay-sensitive system's grid, where no edge can match it,
+    raises TruthOffGrid.
+    """
+    spec = _system(system, cell, nmm_config)
+    noise_level = float(cell.get("NL", 0.0))
+    check("NL", noise_level)
+    series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
+    noisy = decimate(add_observation_noise(series, noise_level, seed + 1), spec.decimate)
+    truth = replace(
+        truth,
+        edges=[(s, tg, max(1, int(round(dl / spec.decimate)))) for s, tg, dl in truth.edges],
+    )
+    delays = DelayGrid(spec.delays(noisy.sample_rate))
+    off_grid = ", ".join(map(str, sorted({dl for *_, dl in truth.edges} - set(delays))))
+    if spec.delay_sensitive and off_grid:
+        raise TruthOffGrid(
+            f"system {system!r}: ground-truth delay(s) {off_grid} lie off the delay grid "
+            f"{delays.min_delay}-{delays.max_delay}, in samples after decimation by {spec.decimate}"
+        )
+    return noisy, truth, delays
+
+
 def run_realization(
     system: str,
     cell: dict[str, Any],
@@ -230,20 +260,10 @@ def run_realization(
     m = 3. For "nmm", a `nmm_config` of None means the reproduction
     configuration. Any other cell key, or a config for another system, raises ValueError.
     """
-    spec = _system(system, cell, nmm_config)
-    noise_level = float(cell.get("NL", 0.0))
-    check("NL", noise_level)
-    series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
-    noisy = add_observation_noise(series, noise_level, seed + 1)
-    factor = spec.decimate
-    noisy = decimate(noisy, factor)
-    truth = GroundTruth(
-        edges=[(s, tg, max(1, int(round(dl / factor)))) for s, tg, dl in truth.edges],
-        description=truth.description,
-    )
-    delays = DelayGrid(spec.delays(noisy.sample_rate))
+    series, truth, delays = simulate_realization(system, cell, seed, nmm_config)
+    spec = SYSTEMS[system]
     network = infer_network(
-        noisy,
+        series,
         EmbeddingParams(m=3, d=spec.d),
         delays,
         lam=float(cell.get("lambda", DEFAULT_LAMBDA)),
@@ -347,11 +367,7 @@ def windowed_analysis(
     step = max(1, int(round(win_len * (1.0 - overlap))))
     windows = []
     for start in range(0, series.n_samples - win_len + 1, step):
-        chunk = MultivariateSeries(
-            data=series.data[start : start + win_len],
-            sample_rate=fs,
-            channel_names=list(series.channel_names),
-        )
+        chunk = replace(series, data=series.data[start : start + win_len])
         try:
             network = infer_network(chunk, params, delays, lam=lam, delta=delta)
         except DegenerateSample as exc:

@@ -8,7 +8,7 @@ symbol matrix is the substrate for all entropy computations downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
 
 import numpy as np
@@ -61,8 +61,8 @@ class MultivariateSeries:
             raise NonFiniteValue("series contains NaN or infinite samples")
         if self.sample_rate is not None:
             check("sample_rate", self.sample_rate)
-        if not self.channel_names:
-            self.channel_names = [f"x{n + 1}" for n in range(self.data.shape[1])]
+        # a list of its own, so a series derived by dataclasses.replace shares none
+        self.channel_names = list(self.channel_names) or [f"x{n + 1}" for n in range(self.n_channels)]
         if len(self.channel_names) != self.data.shape[1]:
             raise ValueError("channel_names length must match the number of columns")
 
@@ -85,11 +85,8 @@ def decimate(series: MultivariateSeries, factor: int) -> MultivariateSeries:
     """
     if factor < 1:
         raise ValueError("decimation factor must be >= 1")
-    return MultivariateSeries(
-        data=series.data[::factor].copy(),
-        sample_rate=None if series.sample_rate is None else series.sample_rate / factor,
-        channel_names=list(series.channel_names),
-    )
+    rate = None if series.sample_rate is None else series.sample_rate / factor
+    return replace(series, data=series.data[::factor].copy(), sample_rate=rate)
 
 
 @dataclass

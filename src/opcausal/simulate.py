@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,11 +234,8 @@ class NmmConfig:
                 raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
         if not self.noise_var >= 0:
             raise ValueError(f"noise_var must be non-negative, got {self.noise_var}")
-        delay_samples = self.delay_ms * self.sample_rate / 1000.0
-        if abs(delay_samples - round(delay_samples)) > 1e-9:
-            raise ValueError(
-                "delay_ms must be an integer multiple of the sample period"
-            )
+        if abs(self.delay_ms * self.sample_rate / 1000.0 - self.delay_samples) > 1e-9:
+            raise ValueError("delay_ms must be an integer multiple of the sample period")
 
     @property
     def delay_samples(self) -> int:
@@ -464,16 +461,8 @@ def add_observation_noise(
     """Additive Gaussian noise scaled per channel by beta times its std."""
     check("NL", beta)
     if beta == 0:
-        return MultivariateSeries(
-            data=series.data.copy(),
-            sample_rate=series.sample_rate,
-            channel_names=list(series.channel_names),
-        )
+        return replace(series, data=series.data.copy())
     rng = np.random.default_rng(seed)
     stds = series.data.std(axis=0)
     noise = rng.standard_normal(series.data.shape) * (beta * stds)
-    return MultivariateSeries(
-        data=series.data + noise,
-        sample_rate=series.sample_rate,
-        channel_names=list(series.channel_names),
-    )
+    return replace(series, data=series.data + noise)

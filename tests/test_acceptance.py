@@ -21,7 +21,14 @@ from opcausal import (
     reproduction_nmm_config,
     simulate_ar,
 )
-from opcausal.evaluate import SYSTEMS, derive_seed, metrics, run_realization, score
+from opcausal.evaluate import (
+    SYSTEMS,
+    derive_seed,
+    metrics,
+    run_realization,
+    score,
+    simulate_realization,
+)
 from opcausal.ordinal import PatternMatrix
 
 R = 10
@@ -241,16 +248,28 @@ def test_criterion_7_neural_mass_network():
     reproduces and quantifies that limitation.
     """
     cfg = reproduction_nmm_config()
+    nmm = SYSTEMS["nmm"]
     seeds = (3, 29, 38)
     deltas = (0.08, 0.10, 0.12)
-    perfect_delta = None
-    table = {}
-    for delta in deltas:
-        cell = {"T": 50_000, "delta": delta, "lambda": 0.995, "K": 5.0}
-        results = [run_realization("nmm", cell, s, cfg) for s in seeds]
-        table[delta] = [(m.tpr, m.fpr) for m in results]
-        if all(m.tpr == 1.0 and m.fpr == 0.0 for m in results):
-            perfect_delta = delta
+    cell = {"T": 50_000, "lambda": 0.995, "K": 5.0}
+    table = {delta: [] for delta in deltas}
+    for s in seeds:
+        # run_realization("nmm", {**cell, "delta": delta}, s, cfg) for every
+        # delta, step by step, to simulate each seed once
+        series, truth, grid = simulate_realization("nmm", cell, s, cfg)
+        for delta in deltas:
+            net = infer_network(
+                series,
+                EmbeddingParams(3, nmm.d),
+                grid,
+                lam=cell["lambda"],
+                delta=delta,
+                one_delay_per_pair=nmm.one_delay_per_pair,
+            )
+            m = metrics(score(net, truth, series.n_channels, grid, nmm.delay_sensitive))
+            table[delta].append((m.tpr, m.fpr))
+    perfect = [d for d, v in table.items() if all(t == 1.0 and f == 0.0 for t, f in v)]
+    perfect_delta = perfect[-1] if perfect else None
     ok = perfect_delta is not None
     detail = "; ".join(
         f"delta {d:.2f}: " + " ".join(f"TPR {t:.2f}/FPR {f:.4f}" for t, f in v)

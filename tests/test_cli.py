@@ -227,6 +227,12 @@ class TestParseDelays:
         with pytest.raises(OpcausalError):
             parse_delays(spec, None, False)
 
+    @pytest.mark.parametrize("spec", ["1-1e300", "1-5:1e-300", "1-1e9"])
+    def test_range_of_too_many_delays_names_the_spec(self, spec):
+        message = f"delay range {spec!r} lists more than 100000 delays"
+        with pytest.raises(OpcausalError, match=f"^{re.escape(message)}$"):
+            parse_delays(spec, None, False)
+
     # "1e-3" reads as the range "1e" to "3"
     @pytest.mark.parametrize("spec, item", [("1,,2", ""), ("1e-3", "1e")])
     def test_unreadable_number_names_the_spec(self, spec, item):

@@ -294,6 +294,11 @@ class TestEstimatorErrors:
                 "conditioning delay 50 out of range",
             ),
             (
+                lambda pi: given_set(pi, 0, [(1, -1)]),
+                ValueError,
+                "conditioning delays must be non-negative",
+            ),
+            (
                 lambda pi: given_set(pi, 0, [(1, 5)], t_start=4),
                 ValueError,
                 "t_start 4 smaller than the largest delay 5",
@@ -321,6 +326,7 @@ class TestEstimatorErrors:
             "member-N",
             "member-neg",
             "member-lag",
+            "member-neg-lag",
             "t_start-low",
             "t_start-T",
             "empty-set",

@@ -18,7 +18,7 @@ from opcausal import (
 )
 from opcausal import evaluate
 from opcausal.causal import CausalNetwork, Edge
-from opcausal.errors import ChannelMismatch, DegenerateSample, WindowTooShort
+from opcausal.errors import ChannelMismatch, DegenerateSample, TruthOffGrid, WindowTooShort
 from opcausal.evaluate import SYSTEMS, ConfusionCounts, derive_seed, run_realization
 from opcausal.simulate import (
     GroundTruth,
@@ -153,6 +153,27 @@ class TestRunRealization:
         monkeypatch.setitem(SYSTEMS, "ar", replace(SYSTEMS["ar"], simulate=refuse))
         with pytest.raises(ValueError, match=r"^noise level must be non-negative, got -1.0$"):
             run_realization("ar", {"T": 300, "NL": -1}, seed=0)
+
+    def test_truth_off_the_grid_fails_before_inference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inferred before checking the truth's delays")
+
+        monkeypatch.setattr(evaluate, "infer_network", refuse)
+        # 300 ms is 60 samples after decimation by 5, against the grid 2-20
+        cfg = replace(reproduction_nmm_config(), delay_ms=300.0)
+        message = (
+            "system 'nmm': ground-truth delay(s) 60 lie off the delay grid 2-20, "
+            "in samples after decimation by 5"
+        )
+        with pytest.raises(TruthOffGrid, match=f"^{re.escape(message)}$"):
+            run_realization("nmm", {"T": 3000}, 1, cfg)
+
+    def test_sweep_records_the_off_grid_truth_per_seed(self):
+        cfg = replace(reproduction_nmm_config(), delay_ms=300.0)
+        (cell,) = sweep("nmm", {"T": [3000]}, 2, base_seed=0, nmm_config=cfg)
+        assert cell.n_realizations == 0
+        assert [e.partition(": ")[0] for e in cell.errors] == [f"seed {s}" for s in cell.seeds]
+        assert all("lie off the delay grid 2-20" in e for e in cell.errors)
 
     @pytest.mark.parametrize("system", ["ar", "lorenz"])
     def test_config_the_system_ignores(self, system):
