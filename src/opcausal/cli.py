@@ -1,8 +1,8 @@
 """Command-line frontend: simulate | infer | sweep | windowed.
 
 Series travel as CSV: a header row of channel names, then one row per
-sample, written with 17 significant digits for exact round-trips and read
-back by np.loadtxt (no blank lines; a bad cell is named by row and column).
+sample, written with 17 significant digits for exact round-trips (64 rows
+per Python `%`, giving np.savetxt's bytes) and read back by np.loadtxt (no blank lines; a bad cell is named by row and column).
 Ground truth and networks travel as JSON. Every run writes a manifest with
 the full configuration and seed. Flag values override config-file values,
 which override defaults; M and d must be integers, lambda and delta
@@ -37,10 +37,20 @@ DEFAULTS = {
 }
 
 
+# Data rows formatted per `%`: a larger block was no faster and keeps more
+# Python floats alive at once.
+_CSV_BLOCK_ROWS = 64
+
+
 def write_series_csv(series: MultivariateSeries, path: str | Path) -> None:
+    """The bytes of np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n"), 64 rows per `%`."""
+    data = series.data
+    row_format = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(series.channel_names)
-        np.savetxt(fh, series.data, fmt="%.17g", delimiter=",", newline="\r\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 _LINE_ENDS = frozenset({"\n", "\r\n", "\r"})

@@ -61,6 +61,23 @@ class TestSeriesCsvRoundTrip:
             b"3,-12345678901234568,1.4142135623730951\r\n"
         )
 
+    # np.savetxt, which the writer replaced, is the oracle; the writer formats
+    # 64 rows per `%`, so the row counts sit on and around block edges
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("n_cols", [1, 36])
+    def test_equals_savetxt(self, tmp_path, rng, n_rows, n_cols):
+        data = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, 1))
+        special = [-0.0, 5e-324, 2.5e-310, 1e300, -1e300, 1e16, -12345678901234567.0,
+                   2.0**70, 0.0, 1 / 3, 1.0]
+        data.flat[::3] = np.resize(special, data.flat[::3].shape)
+        series = MultivariateSeries(data=data)
+        path, want = tmp_path / "series.csv", tmp_path / "savetxt.csv"
+        write_series_csv(series, path)
+        with open(want, "w", newline="") as fh:
+            csv.writer(fh).writerow(series.channel_names)
+            np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\r\n")
+        assert path.read_bytes() == want.read_bytes()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

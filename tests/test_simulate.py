@@ -75,6 +75,38 @@ class TestSimulateAr:
         with pytest.raises(ValueError):
             simulate_ar(1000, seed=0, couplings={(0, 5, 1): 1.0}, n_channels=3)
 
+    # each bad coupling is named before the generator draws any noise; a
+    # source of -1 once aliased channel n - 1 and was reported in the truth
+    @pytest.mark.parametrize(
+        "couplings, match",
+        [
+            ({(-1, 0, 1): 0.5}, r"coupling \(-1, 0, 1\): endpoints must be integers in \[0, 3\)"),
+            ({(0, -3, 1): 0.5}, r"coupling \(0, -3, 1\): endpoints"),
+            ({(0, 3, 1): 0.5}, r"coupling \(0, 3, 1\): endpoints"),
+            ({(0.0, 1, 1): 0.5}, r"coupling \(0.0, 1, 1\): endpoints"),
+            ({(0, 1, 0): 0.5}, r"coupling \(0, 1, 0\): delay must be an integer >= 1"),
+            ({(0, 1, -2): 0.5}, r"coupling \(0, 1, -2\): delay must be"),
+            ({(0, 1, 1.5): 0.5}, r"coupling \(0, 1, 1.5\): delay must be"),
+            ({(0, 1, 2.0): 0.5}, r"coupling \(0, 1, 2.0\): delay must be"),
+            ({(0, 1, True): 0.5}, r"coupling \(0, 1, True\): delay must be"),
+            ({(1, 1, 2): 0.5}, r"coupling \(1, 1, 2\): self-coupling must be zero, got 0.5"),
+        ],
+    )
+    def test_rejects_bad_coupling_before_drawing_noise(self, couplings, match, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("noise drawn before the couplings were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=match):
+            simulate_ar(1000, seed=0, couplings=couplings, n_channels=3)
+
+    def test_accepts_numpy_integers_and_zero_self_coupling(self):
+        couplings = {(np.int64(0), np.int64(1), np.int64(2)): 1.5, (1, 1, 3): 0.0}
+        series, truth = simulate_ar(1000, seed=0, couplings=couplings, n_channels=2)
+        want, _ = simulate_ar(1000, seed=0, couplings={(0, 1, 2): 1.5, (1, 1, 3): 0.0}, n_channels=2)
+        assert series.data.tobytes() == want.data.tobytes()
+        assert truth.triples() == {(0, 1, 2)}
+
     def test_zero_coupling_dropped_from_truth(self):
         _, truth = simulate_ar(
             1000, seed=0, couplings={(0, 1, 2): 0.0, (1, 2, 1): 1.0}, n_channels=3
@@ -113,12 +145,24 @@ class TestSimulateAr:
             (400, 4, {(0, 1, 1): 2, (1, 2, 3): -1}, 3, 50),  # integer coefficients
             (300, 5, {}, 1, 500),
             (101, 6, AR_COUPLINGS, 9, 500),
+            # the simulator steps 64 rows per block: n_samples + burn_in steps
+            # of 127, 128, 129 and 193 end one row short of, on and one row past
+            # a block edge
+            (100, 7, AR_COUPLINGS, 9, 27),
+            (100, 8, AR_COUPLINGS, 9, 28),
+            (129, 9, AR_COUPLINGS, 9, 0),
+            (150, 10, {(0, 1, 1): 0.7}, 2, 43),
+            # delays of one block, one row longer, and more than two blocks
+            (200, 11, {(0, 1, 64): 0.5, (1, 2, 65): -0.6, (2, 0, 130): 0.4}, 3, 0),
+            (300, 12, WIDE_COUPLINGS, 36, 0),
         ],
     )
-    def test_equals_per_step_numpy_loop(self, n_samples, seed, couplings, n_channels, burn_in):
+    def test_equals_per_step_numpy_loop(
+        self, n_samples, seed, couplings, n_channels, burn_in, exp_probe
+    ):
         series, _ = simulate_ar(n_samples, seed, couplings, burn_in, n_channels)
         want = reference_ar(n_samples, seed, couplings, burn_in, n_channels)
-        assert series.data.tobytes() == want.tobytes()
+        assert series.data.tobytes() == want.tobytes(), exp_probe
 
     # at 50 the target crosses |x| = 100 a few times in 5000 samples; at
     # 1e200 the floats overflow to inf, which Python does without a warning
@@ -437,3 +481,11 @@ class TestObservationNoise:
     def test_rejects_negative_level(self, random_series):
         with pytest.raises(ValueError):
             add_observation_noise(random_series, -0.5, seed=0)
+
+    def test_equals_scaled_noise_added_to_data(self, random_series):
+        before = random_series.data.copy()
+        out = add_observation_noise(random_series, 0.3, seed=4)
+        noise = np.random.default_rng(4).standard_normal(before.shape)
+        want = before + noise * (0.3 * before.std(axis=0))
+        assert out.data.tobytes() == want.tobytes()
+        assert random_series.data.tobytes() == before.tobytes()
