@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -112,20 +111,20 @@ def simulate_ar(
     links = [(src, tgt, -delay, c) for (src, tgt, delay), c in couplings.items()]
     # The bounded self map 3.4 x (1 - x^2) exp(-x^2) stepped on Python floats,
     # which round as float64 ufuncs do; exp stays numpy's, as math.exp can
-    # differ in the last bit and the map is chaotic. rows holds the last max_lag.
-    rows = deque(x[:max_lag].tolist(), maxlen=max_lag)
+    # differ in the last bit and the map is chaotic. rows holds the last
+    # max_lag rows before the block, then the block's rows as they are stepped.
+    rows = x[:max_lag].tolist()
     for start in range(max_lag, total, _AR_BLOCK_ROWS):
         block = x[start : start + _AR_BLOCK_ROWS]
-        stepped = []
-        for noise in block.tolist():
+        for now, noise in enumerate(block.tolist(), max_lag):
             prev = rows[-1]
             e = np.exp([-v * v for v in prev]).tolist()
             row = [3.4 * v * (1.0 - v * v) * ei + ni for v, ei, ni in zip(prev, e, noise)]
             for src, tgt, lag, c in links:
-                row[tgt] += c * rows[lag][src]
+                row[tgt] += c * rows[now + lag][src]
             rows.append(row)
-            stepped.append(row)
-        block[:] = stepped
+        block[:] = rows[max_lag:]
+        del rows[:-max_lag]
     data = x[burn_in + max_lag :]
     if not np.all(np.abs(data) < 100):
         raise NonFiniteState("autoregressive map left its bounded regime")
