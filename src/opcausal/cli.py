@@ -2,7 +2,8 @@
 
 Series travel as CSV: a header row of channel names, then one row per
 sample, written with 17 significant digits for exact round-trips (64 rows
-per Python `%`, giving np.savetxt's bytes) and read back by np.loadtxt (no blank lines; a bad cell is named by row and column).
+per Python `%`, giving np.savetxt's bytes) and read back by np.loadtxt (no
+blank lines; a bad cell is named by row and column).
 Ground truth and networks travel as JSON. Every run writes a manifest with
 the full configuration and seed. Flag values override config-file values,
 which override defaults; M and d must be integers, lambda and delta

@@ -69,8 +69,8 @@ def _check_ar_couplings(couplings: dict, n_channels: int) -> None:
     def is_int(v):
         return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
-    for (src, tgt, delay), c in couplings.items():
-        key = (src, tgt, delay)
+    for key, c in couplings.items():
+        src, tgt, delay = key
         if not all(is_int(v) and 0 <= v < n_channels for v in (src, tgt)):
             raise ValueError(
                 f"coupling {key}: endpoints must be integers in [0, {n_channels})"
