@@ -9,6 +9,7 @@ observational-noise transform.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
@@ -81,6 +82,53 @@ def _check_ar_couplings(couplings: dict, n_channels: int) -> None:
             raise ValueError(f"coupling {key}: self-coupling must be zero, got {c!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _ar_steps(n_channels: int, links: tuple[tuple[int, int, int], ...]):
+    """The AR step loop written out for n_channels and the (source, target, delay) links.
+
+    Each channel's value lives in a local of its own, which steps faster than
+    a list of values does; the channel count and the links fix those locals,
+    so the loop's source is written for them. For two channels and the link
+    (0, 1, 2) it reads:
+
+        def steps(rows, noise_rows, now, coefs):
+            [c0, ] = coefs
+            v0, v1, = rows[-1]
+            for n0, n1, in noise_rows:
+                e0, e1, = exp([-v0 * v0, -v1 * v1]).tolist()
+                v0 = 3.4 * v0 * (1.0 - v0 * v0) * e0 + n0
+                v1 = 3.4 * v1 * (1.0 - v1 * v1) * e1 + n1
+                v1 += c0 * rows[now - 2][0]
+                rows.append([v0, v1, ])
+                now += 1
+
+    steps appends one row to rows per noise row, rows[now] being the row it
+    steps; coefs holds the coefficients in the order of links. Only integers
+    from the checked links enter the source.
+    """
+
+    def names(prefix, count):
+        return "".join(f"{prefix}{i}, " for i in range(count))
+
+    channels = range(n_channels)
+    values = names("v", n_channels)
+    lines = [
+        "def steps(rows, noise_rows, now, coefs):",
+        f"    [{names('c', len(links))}] = coefs",
+        f"    {values}= rows[-1]",
+        f"    for {names('n', n_channels)}in noise_rows:",
+        f"        {names('e', n_channels)}= exp([{', '.join(f'-v{i} * v{i}' for i in channels)}]).tolist()",
+        *(f"        v{i} = 3.4 * v{i} * (1.0 - v{i} * v{i}) * e{i} + n{i}" for i in channels),
+        *(f"        v{tgt} += c{k} * rows[now - {delay}][{src}]"
+          for k, (src, tgt, delay) in enumerate(links)),
+        f"        rows.append([{values}])",
+        "        now += 1",
+    ]
+    namespace = {"exp": np.exp}
+    exec("\n".join(lines), namespace)
+    return namespace["steps"]
+
+
 def simulate_ar(
     n_samples: int,
     seed: int,
@@ -108,7 +156,8 @@ def simulate_ar(
     # the noise is drawn into the output, and each row overwrites its own
     x = rng.standard_normal((total, n_channels))
     x *= AR_NOISE_SCALE
-    links = [(src, tgt, -delay, c) for (src, tgt, delay), c in couplings.items()]
+    steps = _ar_steps(n_channels, tuple(couplings))
+    coefs = tuple(couplings.values())
     # The bounded self map 3.4 x (1 - x^2) exp(-x^2) stepped on Python floats,
     # which round as float64 ufuncs do; exp stays numpy's, as math.exp can
     # differ in the last bit and the map is chaotic. rows holds the last
@@ -116,13 +165,7 @@ def simulate_ar(
     rows = x[:max_lag].tolist()
     for start in range(max_lag, total, _AR_BLOCK_ROWS):
         block = x[start : start + _AR_BLOCK_ROWS]
-        for now, noise in enumerate(block.tolist(), max_lag):
-            prev = rows[-1]
-            e = np.exp([-v * v for v in prev]).tolist()
-            row = [3.4 * v * (1.0 - v * v) * ei + ni for v, ei, ni in zip(prev, e, noise)]
-            for src, tgt, lag, c in links:
-                row[tgt] += c * rows[now + lag][src]
-            rows.append(row)
+        steps(rows, block.tolist(), max_lag, coefs)
         block[:] = rows[max_lag:]
         del rows[:-max_lag]
     data = x[burn_in + max_lag :]
