@@ -64,20 +64,20 @@ AR_N_CHANNELS = 9
 _AR_BLOCK_ROWS = 64
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_ar_couplings(couplings: dict, n_channels: int) -> None:
     """Raise ValueError naming the first coupling simulate_ar cannot step."""
-
-    def is_int(v):
-        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
     for key, c in couplings.items():
         src, tgt, delay = key
-        if not all(is_int(v) and 0 <= v < n_channels for v in (src, tgt)):
-            raise ValueError(
-                f"coupling {key}: endpoints must be integers in [0, {n_channels})"
-            )
-        if not (is_int(delay) and delay >= 1):
-            raise ValueError(f"coupling {key}: delay must be an integer >= 1")
+        if not all(_is_int(v) for v in key):
+            raise ValueError(f"coupling {key}: endpoints and delay must be integers")
+        if not (0 <= src < n_channels and 0 <= tgt < n_channels):
+            raise ValueError(f"coupling {key}: endpoints must be in [0, {n_channels})")
+        if delay < 1:
+            raise ValueError(f"coupling {key}: delay must be >= 1")
         if src == tgt and c != 0:
             raise ValueError(f"coupling {key}: self-coupling must be zero, got {c!r}")
 
@@ -112,12 +112,13 @@ def _ar_steps(n_channels: int, links: tuple[tuple[int, int, int], ...]):
 
     channels = range(n_channels)
     values = names("v", n_channels)
+    exp_args = ", ".join(f"-v{i} * v{i}" for i in channels)
     lines = [
         "def steps(rows, noise_rows, now, coefs):",
         f"    [{names('c', len(links))}] = coefs",
         f"    {values}= rows[-1]",
         f"    for {names('n', n_channels)}in noise_rows:",
-        f"        {names('e', n_channels)}= exp([{', '.join(f'-v{i} * v{i}' for i in channels)}]).tolist()",
+        f"        {names('e', n_channels)}= exp([{exp_args}]).tolist()",
         *(f"        v{i} = 3.4 * v{i} * (1.0 - v{i} * v{i}) * e{i} + n{i}" for i in channels),
         *(f"        v{tgt} += c{k} * rows[now - {delay}][{src}]"
           for k, (src, tgt, delay) in enumerate(links)),
@@ -140,8 +141,9 @@ def simulate_ar(
 
     Defaults to the nine-channel benchmark structure; pass custom couplings
     (and optionally n_channels) for small motifs built from the same map.
-    Each coupling needs endpoints in [0, n_channels), an integer delay >= 1
-    and, if it is a self-coupling, a coefficient of zero.
+    n_channels must be an integer >= 1; each coupling needs endpoints in
+    [0, n_channels), an integer delay >= 1 and, if it is a self-coupling, a
+    coefficient of zero.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
@@ -149,8 +151,10 @@ def simulate_ar(
         couplings = AR_COUPLINGS
     if n_channels is None:
         n_channels = AR_N_CHANNELS
+    if not (_is_int(n_channels) and n_channels >= 1):
+        raise ValueError(f"n_channels must be an integer >= 1, got {n_channels!r}")
     _check_ar_couplings(couplings, n_channels)
-    max_lag = max(max((d for _, _, d in couplings), default=1), 1)
+    max_lag = max((d for _, _, d in couplings), default=1)
     rng = np.random.default_rng(seed)
     total = n_samples + burn_in + max_lag
     # the noise is drawn into the output, and each row overwrites its own

@@ -80,15 +80,15 @@ class TestSimulateAr:
     @pytest.mark.parametrize(
         "couplings, match",
         [
-            ({(-1, 0, 1): 0.5}, r"coupling \(-1, 0, 1\): endpoints must be integers in \[0, 3\)"),
-            ({(0, -3, 1): 0.5}, r"coupling \(0, -3, 1\): endpoints"),
-            ({(0, 3, 1): 0.5}, r"coupling \(0, 3, 1\): endpoints"),
-            ({(0.0, 1, 1): 0.5}, r"coupling \(0.0, 1, 1\): endpoints"),
-            ({(0, 1, 0): 0.5}, r"coupling \(0, 1, 0\): delay must be an integer >= 1"),
-            ({(0, 1, -2): 0.5}, r"coupling \(0, 1, -2\): delay must be"),
-            ({(0, 1, 1.5): 0.5}, r"coupling \(0, 1, 1.5\): delay must be"),
-            ({(0, 1, 2.0): 0.5}, r"coupling \(0, 1, 2.0\): delay must be"),
-            ({(0, 1, True): 0.5}, r"coupling \(0, 1, True\): delay must be"),
+            ({(-1, 0, 1): 0.5}, r"coupling \(-1, 0, 1\): endpoints must be in \[0, 3\)"),
+            ({(0, -3, 1): 0.5}, r"coupling \(0, -3, 1\): endpoints must be in"),
+            ({(0, 3, 1): 0.5}, r"coupling \(0, 3, 1\): endpoints must be in"),
+            ({(0.0, 1, 1): 0.5}, r"coupling \(0.0, 1, 1\): endpoints and delay must be integers"),
+            ({(0, 1, 0): 0.5}, r"coupling \(0, 1, 0\): delay must be >= 1"),
+            ({(0, 1, -2): 0.5}, r"coupling \(0, 1, -2\): delay must be >= 1"),
+            ({(0, 1, 1.5): 0.5}, r"coupling \(0, 1, 1.5\): endpoints and delay must be integers"),
+            ({(0, 1, 2.0): 0.5}, r"coupling \(0, 1, 2.0\): endpoints and delay must be integers"),
+            ({(0, 1, True): 0.5}, r"coupling \(0, 1, True\): endpoints and delay must be integers"),
             ({(1, 1, 2): 0.5}, r"coupling \(1, 1, 2\): self-coupling must be zero, got 0.5"),
         ],
     )
@@ -99,6 +99,12 @@ class TestSimulateAr:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(ValueError, match=match):
             simulate_ar(1000, seed=0, couplings=couplings, n_channels=3)
+
+    @pytest.mark.parametrize("n_channels", [0, -2, 2.0, True])
+    def test_rejects_bad_channel_count(self, n_channels, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+        with pytest.raises(ValueError, match="n_channels must be an integer >= 1"):
+            simulate_ar(1000, seed=0, couplings={}, n_channels=n_channels)
 
     def test_accepts_numpy_integers_and_zero_self_coupling(self):
         couplings = {(np.int64(0), np.int64(1), np.int64(2)): 1.5, (1, 1, 3): 0.0}
