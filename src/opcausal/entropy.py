@@ -136,18 +136,29 @@ def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
     return float(h) if counts.ndim == 2 else h
 
 
-# Largest alphabet for which ce_tensor counts by matrix product. The dense
-# product costs f^2 multiply-adds per sample and ordered pair, against one
-# joint-code count per pair in the loop, and its count matrices grow as (N*f)^2.
-# On a 2-core Xeon, T'=1e4-2e4 and 10 lags: at m=3 (f=6) the product took
-# 0.017 s against 0.055 s for N=9 and 0.17 s against 3 s for N=36; at m=4
-# (f=24) 0.080 s against 0.066 s for N=9 and 2.0 s against 3.3 s for N=36,
-# holding 60 MB of counts; at m=5 (f=120) 1.9 s against 0.26 s for N=9.
+# Largest alphabet for which ce_tensor counts by matrix product. The product
+# has a column for each of the f-1 symbols below the last, whose counts
+# follow from each window's symbol counts, so it costs (f-1)^2 multiply-adds
+# per sample and ordered pair for every two lags, against one joint-code
+# count per pair and lag in the loop, and its count
+# matrices grow as (N*f)^2. On a 2-core Xeon, random symbols, lags 1-10,
+# T'=1e4 for N=9 and 2e4 for N=36, in two runs of 3-7 calls each: at m=3
+# (f=6) the product took 0.010-0.012 s against 0.023-0.034 s for N=9 and
+# 0.11 s against 0.68-0.83 s for N=36; at m=4 (f=24) 0.049-0.062 s against
+# 0.025-0.038 s for N=9 and 1.1 s against 0.75-0.85 s for N=36. At m=5
+# (f=120), counting one lag on all f symbols per product, it took 1.9 s
+# against 0.26 s for N=9.
 _PRODUCT_MAX_PATTERNS = 6
 
-# Rows per one-hot block. A block's product entries count at most this many
-# samples, far below 2^24, so they are exact in float32.
+# Rows per one-hot block; it must stay below _PACK. A product counts two
+# lags at once: its right operand is onehot(tau_j) + _PACK * onehot(tau_j+1),
+# so each entry is c_j + _PACK * c_j+1 with both counts at most _ROW_BLOCK.
+# Every term and partial sum is then an integer at most
+# _ROW_BLOCK * (1 + _PACK) < 2^24, exact in float32 whatever order BLAS
+# sums in, and the low _PACK_BITS bits are c_j.
 _ROW_BLOCK = 2048
+_PACK_BITS = 12
+_PACK = 1 << _PACK_BITS
 
 
 def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
@@ -179,38 +190,111 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
 
 
 def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarray:
-    """Lagged joint counts of every ordered channel pair, one product per lag.
+    """Lagged joint counts of every ordered channel pair, two lags per product.
 
     Returns a J x N*f x N*f int64 array whose entry [j, m*f + a, n*f + b]
     counts the t with channel m in symbol a at t and channel n in symbol b
     at t + tau_j, over t in [0, T' - tau_j), as the pair's joint codes count them.
+
+    The products count the symbols a, b < f - 1. The counts of the last
+    symbol are what the window's symbol counts leave over: c[a, f-1] is
+    the source's count of a less the c[a, b] with b < f - 1, and c[f-1, b]
+    likewise from the target's count of b.
     """
+    # a packed entry c_j + _PACK * c_(j+1) splits back only while c_j < _PACK
+    if _ROW_BLOCK >= _PACK:
+        raise RuntimeError(f"_ROW_BLOCK {_ROW_BLOCK} must stay below the packing factor {_PACK}")
     n_times, n = pi.symbols.shape
     f = pi.n_patterns
-    width = n * f
-    counts = np.zeros((len(delays), width, width), dtype=np.int64)
+    g = f - 1
+    lags = delays.delays
+    sources, targets = _window_symbol_counts(pi.symbols, lags, f)
+    counts = np.zeros((len(lags), n, f, n, f), dtype=np.int64)
     # a block encodes its own rows plus those of the lags up to one block
     # ahead; a farther lag's target rows are encoded on their own, so a lag
     # near T' does not stretch every block over the rows in between
-    near = max((tau for tau in delays if tau <= _ROW_BLOCK), default=0)
-    for start in range(0, n_times - delays.min_delay, _ROW_BLOCK):
-        onehot = _onehot(pi.symbols[start : start + _ROW_BLOCK + near], f)
-        for j, tau in enumerate(delays):
-            k = min(_ROW_BLOCK, n_times - tau - start)
-            if k > 0:
-                if tau <= near:
-                    target = onehot[tau : tau + k]
-                else:
-                    target = _onehot(pi.symbols[start + tau : start + tau + k], f)
-                counts[j] += (onehot[:k].T @ target).astype(np.int64)
-    return counts
+    near = max((tau for tau in lags if tau <= _ROW_BLOCK), default=0)
+    block = np.empty((_ROW_BLOCK + near, n * g), dtype=np.float32)
+    packed = np.empty((_ROW_BLOCK, n * g), dtype=np.float32)
+    for start in range(0, n_times - lags[0], _ROW_BLOCK):
+        onehot = _onehot(pi.symbols[start : start + _ROW_BLOCK + near], block)
+
+        def target(tau, k):
+            """One-hot rows t + tau of the block's first k rows t."""
+            if tau <= near:
+                return onehot[tau : tau + k]
+            rows = pi.symbols[start + tau : start + tau + k]
+            return _onehot(rows, np.empty((k, n * g), dtype=np.float32))
+
+        for j in range(0, len(lags), 2):
+            k = min(_ROW_BLOCK, n_times - lags[j] - start)
+            if k <= 0:
+                break
+            # rows of the block in the next lag's window; the last lag of an
+            # odd grid runs alone
+            k_next = max(0, min(k, n_times - lags[j + 1] - start)) if j + 1 < len(lags) else 0
+            # z = onehot(tau_j) + _PACK * onehot(tau_(j+1)), whose product
+            # entries are c_j + _PACK * c_(j+1)
+            z = packed[:k]
+            if k_next:
+                np.multiply(target(lags[j + 1], k_next), _PACK, out=z[:k_next])
+            z[k_next:] = 0
+            z += target(lags[j], k)
+            both = (onehot[:k].T @ z).astype(np.int64).reshape(n, g, n, g)
+            counts[j, :, :g, :, :g] += both & (_PACK - 1)
+            if k_next:
+                both >>= _PACK_BITS
+                counts[j + 1, :, :g, :, :g] += both
+    for j, c in enumerate(counts):
+        c[:, g, :, :g] = targets[j, :, :g] - c[:, :g, :, :g].sum(axis=1)
+        c[:, :, :, g] = sources[j, :, :, None] - c[:, :, :, :g].sum(axis=3)
+    return counts.reshape(len(lags), n * f, n * f)
 
 
-def _onehot(rows: np.ndarray, f: int) -> np.ndarray:
-    """float32 one-hot rows x N*f matrix of a block of symbol rows."""
-    # C order, whatever the rows' layout, so the reshape needs no copy
-    onehot = np.equal(rows[:, :, None], np.arange(f), order="C")
-    return onehot.reshape(len(rows), -1).astype(np.float32)
+def _onehot(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """float32 indicators of a block of symbol rows, written into the first rows of out.
+
+    out has N*g columns: entry [t, n*g + a] is 1.0 where channel n shows
+    symbol a < g at row t, so the symbols g and up have no column.
+    """
+    k, n = rows.shape
+    onehot = out[:k]
+    # out is C-ordered, so the reshape is a view
+    np.equal(rows[:, :, None], np.arange(out.shape[1] // n), out=onehot.reshape(k, n, -1))
+    return onehot
+
+
+def _window_symbol_counts(symbols: np.ndarray, lags, f: int):
+    """J x N x f counts of each channel's symbols over lag tau_j's source rows
+    [0, T' - tau_j), then over its target rows [tau_j, T')."""
+    n_times, n = symbols.shape
+    every = _symbol_counts(symbols, 0, n_times, f)
+    first = np.zeros_like(every)
+    last = np.zeros_like(every)
+    sources = np.empty((len(lags), n, f), dtype=np.int64)
+    targets = np.empty_like(sources)
+    prev = 0
+    # every row less the last or the first tau rows, adding the rows
+    # between one lag and the next
+    for j, tau in enumerate(lags):
+        first += _symbol_counts(symbols, prev, tau, f)
+        last += _symbol_counts(symbols, n_times - tau, n_times - prev, f)
+        sources[j] = every - last
+        targets[j] = every - first
+        prev = tau
+    return sources, targets
+
+
+def _symbol_counts(symbols: np.ndarray, lo: int, hi: int, f: int) -> np.ndarray:
+    """N x f int64 counts of each channel's symbols over rows [lo, hi)."""
+    n = symbols.shape[1]
+    offsets = f * np.arange(n)
+    counts = np.zeros(n * f, dtype=np.int64)
+    # a row block at a time, so the codes never take more memory than a one-hot block
+    for start in range(lo, hi, _ROW_BLOCK):
+        codes = symbols[start : min(start + _ROW_BLOCK, hi)] + offsets
+        counts += np.bincount(codes.ravel(order="K"), minlength=n * f)
+    return counts.reshape(n, f)
 
 
 def threshold(tensor: CETensor, lam: float) -> CETensor:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the pipeline, and the rule of every setting."""
 
 import math
+from numbers import Integral
 
 
 class OpcausalError(Exception):
@@ -65,6 +66,11 @@ SETTINGS = {
     "lambda": (lambda v: 0 < v <= 1, "lambda must be in (0, 1], got {}"),
     "delta": (lambda v: v >= 0, "delta must be non-negative, got {}"),
     "T": (lambda v: v >= 1, "need at least 1 sample, got {}"),
+    # the samples a simulator steps and discards before the first kept one
+    "lead_in": (
+        lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0,
+        "a lead-in (burn_in, transient_samples) must be an integer >= 0, got {!r}",
+    ),
     "NL": (lambda v: v >= 0, "noise level must be non-negative, got {}"),
     "K": (lambda v: 0 <= v <= 100, "connection density K must be in [0, 100] percent, got {}"),
     "c": (lambda v: v >= 0, "coupling strength must be non-negative"),

@@ -141,9 +141,9 @@ def simulate_ar(
 
     Defaults to the nine-channel benchmark structure; pass custom couplings
     (and optionally n_channels) for small motifs built from the same map.
-    n_channels must be an integer >= 1; each coupling needs endpoints in
-    [0, n_channels), an integer delay >= 1 and, if it is a self-coupling, a
-    coefficient of zero.
+    n_channels must be an integer >= 1 and burn_in an integer >= 0; each
+    coupling needs endpoints in [0, n_channels), an integer delay >= 1 and,
+    if it is a self-coupling, a coefficient of zero.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
@@ -154,6 +154,7 @@ def simulate_ar(
     if not (_is_int(n_channels) and n_channels >= 1):
         raise ValueError(f"n_channels must be an integer >= 1, got {n_channels!r}")
     _check_ar_couplings(couplings, n_channels)
+    check("lead_in", burn_in)
     max_lag = max((d for _, _, d in couplings), default=1)
     rng = np.random.default_rng(seed)
     total = n_samples + burn_in + max_lag
@@ -382,6 +383,7 @@ def simulate_nmm(
     tracks the source is then delay_ms itself.
     """
     check("T", n_samples)
+    check("lead_in", transient_samples)
     rng = np.random.default_rng(seed)
     n = cfg.n_regions
     if adjacency is None:

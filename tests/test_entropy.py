@@ -441,6 +441,53 @@ class TestCETensor:
                         )
                     assert t.values[tgt, src, j] == want
 
+    # the products count two lags at once on the symbols below f - 1: an even
+    # and an odd grid, with lag 0 and lags past one row block, paired with a
+    # near lag, with each other and alone; T' just short of and just past two
+    # blocks; a channel that never shows the dropped symbol and one that
+    # shows nothing else
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("grid", ["even", "odd"])
+    def test_product_counts_equal_pairwise_bincounts(self, rng, m, extra, grid):
+        f = math.factorial(m)
+        block = entropy._ROW_BLOCK
+        n_times = 2 * block + extra
+        symbols = rng.integers(0, f, size=(n_times, 4))
+        symbols[:, 1] = rng.integers(0, f - 1, size=n_times)
+        symbols[:, 2] = f - 1
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+        if grid == "even":
+            lags = [0, 1, 5, block + 3]
+        else:
+            lags = [0, 2, block + 1, block + 2, n_times - 1]
+        got = entropy._lagged_counts_by_product(pi, DelayGrid(lags))
+        assert got.dtype == np.int64 and got.shape == (len(lags), 4 * f, 4 * f)
+        for j, tau in enumerate(lags):
+            for src in range(4):
+                for tgt in range(4):
+                    codes = symbols[: n_times - tau, src] * f + symbols[tau:, tgt]
+                    want = np.bincount(codes, minlength=f * f).reshape(f, f)
+                    cell = got[j, src * f : (src + 1) * f, tgt * f : (tgt + 1) * f]
+                    np.testing.assert_array_equal(cell, want)
+
+    def test_wide_tensor_peak_memory_stays_at_the_per_lag_products(self, rng):
+        # 36 channels at m=3, T' about 2e4 and the CLI's lags 1-10, the shape
+        # of one wide_infer item. Counting one lag per product on all f
+        # symbols peaked at 7,838,480 traced bytes here; two lags per product
+        # on f - 1 symbols, with one reused buffer each for the block and the
+        # packed targets, peak at 7,479,648
+        pi = PatternMatrix(
+            symbols=rng.integers(0, 6, size=(19_998, 36)), params=EmbeddingParams(m=3, d=1)
+        )
+        tracemalloc.start()
+        try:
+            ce_tensor(pi, DelayGrid(range(1, 11)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7_838_480
+
     def test_order_7_counts_sparse_pairs_in_little_memory(self, rng):
         # 5040^2 joint bins per pair: a dense count would hold 203 MB of
         # int64 per pair, so the pairs go through the unique-count estimator

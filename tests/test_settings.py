@@ -12,6 +12,7 @@ BOUNDS = {
     "lambda": ([0.0, nextafter(1.0, 2.0)], [1.0]),
     "delta": ([nextafter(0.0, -1.0)], [0.0]),
     "T": ([0], [1]),
+    "lead_in": ([-1, 2.0, True], [0]),
     "NL": ([nextafter(0.0, -1.0)], [0.0]),
     "K": ([nextafter(0.0, -1.0), nextafter(100.0, 200.0)], [0.0, 100.0]),
     "c": ([nextafter(0.0, -1.0)], [0.0]),

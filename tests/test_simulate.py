@@ -106,6 +106,13 @@ class TestSimulateAr:
         with pytest.raises(ValueError, match="n_channels must be an integer >= 1"):
             simulate_ar(1000, seed=0, couplings={}, n_channels=n_channels)
 
+    # a negative burn_in used to cut the output short: -600 gave 404 rows of 1000
+    @pytest.mark.parametrize("burn_in", [-600, -1, 2.0, True])
+    def test_rejects_bad_burn_in_before_drawing_noise(self, burn_in, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+        with pytest.raises(ValueError, match=r"lead-in \(burn_in, transient_samples\) must be"):
+            simulate_ar(1000, seed=0, burn_in=burn_in)
+
     def test_accepts_numpy_integers_and_zero_self_coupling(self):
         couplings = {(np.int64(0), np.int64(1), np.int64(2)): 1.5, (1, 1, 3): 0.0}
         series, truth = simulate_ar(1000, seed=0, couplings=couplings, n_channels=2)
@@ -321,6 +328,13 @@ class TestSimulateNmm:
     def test_rejects_fewer_than_one_sample(self, n_samples):
         with pytest.raises(ValueError, match=f"need at least 1 sample, got {n_samples}"):
             simulate_nmm(reproduction_nmm_config(), 5.0, n_samples, seed=0)
+
+    # a negative transient used to cut the output short: -500 gave 499 rows of 1000
+    @pytest.mark.parametrize("transient", [-500, -1, 1.5])
+    def test_rejects_bad_transient_before_drawing_noise(self, transient, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+        with pytest.raises(ValueError, match=r"lead-in \(burn_in, transient_samples\) must be"):
+            simulate_nmm(reproduction_nmm_config(), 5.0, 1000, 0, transient_samples=transient)
 
     def test_shape_and_truth_delay(self):
         cfg = reproduction_nmm_config()
