@@ -140,19 +140,19 @@ def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
 # has a column for each of the f-1 symbols below the last, whose counts
 # follow from each window's symbol counts, so it costs (f-1)^2 multiply-adds
 # per sample and ordered pair for every two lags, against one joint-code
-# count per pair and lag in the loop, and its count
-# matrices grow as (N*f)^2. On a 2-core Xeon, random symbols, lags 1-10,
-# T'=1e4 for N=9 and 2e4 for N=36, in two runs of 3-7 calls each: at m=3
-# (f=6) the product took 0.010-0.012 s against 0.023-0.034 s for N=9 and
-# 0.11 s against 0.68-0.83 s for N=36; at m=4 (f=24) 0.049-0.062 s against
+# count per pair and lag in the loop, and its count matrices grow as
+# (N*f)^2. On a 2-core Xeon, random symbols, lags 1-10, T'=1e4 for N=9 and
+# 2e4 for N=36, in two runs of 3-7 calls each: at m=3 (f=6) the product
+# took 0.010-0.012 s against 0.023-0.034 s for N=9 and 0.11 s against
+# 0.68-0.83 s for N=36; at m=4 (f=24) 0.049-0.062 s against
 # 0.025-0.038 s for N=9 and 1.1 s against 0.75-0.85 s for N=36. At m=5
 # (f=120), counting one lag on all f symbols per product, it took 1.9 s
 # against 0.26 s for N=9.
 _PRODUCT_MAX_PATTERNS = 6
 
 # Rows per one-hot block; it must stay below _PACK. A product counts two
-# lags at once: its right operand is onehot(tau_j) + _PACK * onehot(tau_j+1),
-# so each entry is c_j + _PACK * c_j+1 with both counts at most _ROW_BLOCK.
+# lags at once: its right operand is onehot(tau_j) + _PACK * onehot(tau_(j+1)),
+# so each entry is c_j + _PACK * c_(j+1) with both counts at most _ROW_BLOCK.
 # Every term and partial sum is then an integer at most
 # _ROW_BLOCK * (1 + _PACK) < 2^24, exact in float32 whatever order BLAS
 # sums in, and the low _PACK_BITS bits are c_j.
@@ -230,11 +230,9 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
             k = min(_ROW_BLOCK, n_times - lags[j] - start)
             if k <= 0:
                 break
-            # rows of the block in the next lag's window; the last lag of an
-            # odd grid runs alone
+            # rows of the block in the next lag's window, past which its part
+            # of z stays 0; the last lag of an odd grid runs alone
             k_next = max(0, min(k, n_times - lags[j + 1] - start)) if j + 1 < len(lags) else 0
-            # z = onehot(tau_j) + _PACK * onehot(tau_(j+1)), whose product
-            # entries are c_j + _PACK * c_(j+1)
             z = packed[:k]
             if k_next:
                 np.multiply(target(lags[j + 1], k_next), _PACK, out=z[:k_next])
@@ -265,8 +263,11 @@ def _onehot(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _window_symbol_counts(symbols: np.ndarray, lags, f: int):
-    """J x N x f counts of each channel's symbols over lag tau_j's source rows
-    [0, T' - tau_j), then over its target rows [tau_j, T')."""
+    """Each channel's symbol counts over the source and the target rows of every lag.
+
+    Returns two J x N x f int64 arrays: the counts over rows [0, T' - tau_j),
+    then over rows [tau_j, T').
+    """
     n_times, n = symbols.shape
     every = _symbol_counts(symbols, 0, n_times, f)
     first = np.zeros_like(every)

@@ -471,11 +471,20 @@ class TestCETensor:
                     cell = got[j, src * f : (src + 1) * f, tgt * f : (tgt + 1) * f]
                     np.testing.assert_array_equal(cell, want)
 
+    def test_row_block_must_stay_below_the_packing_factor(self, rng, monkeypatch):
+        # a block of _PACK rows could count _PACK, which overflows into the packed second lag
+        monkeypatch.setattr(entropy, "_ROW_BLOCK", entropy._PACK)
+        pi = PatternMatrix(
+            symbols=rng.integers(0, 6, size=(100, 2)), params=EmbeddingParams(m=3, d=1)
+        )
+        with pytest.raises(RuntimeError, match="must stay below the packing factor"):
+            entropy._lagged_counts_by_product(pi, DelayGrid([1, 2]))
+
     def test_wide_tensor_peak_memory_stays_at_the_per_lag_products(self, rng):
         # 36 channels at m=3, T' about 2e4 and the CLI's lags 1-10, the shape
         # of one wide_infer item. Counting one lag per product on all f
-        # symbols peaked at 7,838,480 traced bytes here; two lags per product
-        # on f - 1 symbols, with one reused buffer each for the block and the
+        # symbols peaked at 7,838,480 traced bytes (numpy 2.4.6); two lags per
+        # product on f - 1 symbols, with one reused buffer each for the block and the
         # packed targets, peak at 7,479,648
         pi = PatternMatrix(
             symbols=rng.integers(0, 6, size=(19_998, 36)), params=EmbeddingParams(m=3, d=1)
