@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from opcausal import DelayGrid, EmbeddingParams, simulate_lorenz_chain
-from opcausal.causal import candidate_tensor, lowest_ce_per_pair, prune_tensor
+from opcausal.causal import evidence_table, lowest_ce_per_pair
 from opcausal.ordinal import decimate
 
 PAIRS = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]
@@ -34,8 +34,7 @@ PAIRS = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]
 
 def epsilon_table(series, params, grid, delta):
     """{pair: epsilon at the pair's lowest-CE candidate lag, or None}."""
-    pi, tensor = candidate_tensor(series, params, grid)
-    best = lowest_ce_per_pair(prune_tensor(pi, tensor, delta))
+    best = lowest_ce_per_pair(evidence_table(series, params, grid, delta=delta).rows)
     return {pair: best[pair].epsilon if pair in best else None for pair in PAIRS}
 
 

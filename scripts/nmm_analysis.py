@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from opcausal import DelayGrid, EmbeddingParams, reproduction_nmm_config, simulate_nmm
-from opcausal.causal import candidate_tensor, lowest_ce_per_pair, prune_tensor
+from opcausal.causal import evidence_table, lowest_ce_per_pair
 from opcausal.evaluate import run_realization
 from opcausal.ordinal import decimate
 
@@ -50,9 +50,8 @@ def part2(cfg, args):
     adj[4, 0] = adj[5, 0] = 1.0
     series, _ = simulate_nmm(cfg, 5.0, args.T, seed=0, adjacency=adj)
     dec = decimate(series, DECIMATION)
-    grid = DelayGrid(range(2, 21))
-    pi, tensor = candidate_tensor(dec, EmbeddingParams(3, 1), grid)
-    best = lowest_ce_per_pair(prune_tensor(pi, tensor, args.delta))
+    table = evidence_table(dec, EmbeddingParams(3, 1), DelayGrid(range(2, 21)), delta=args.delta)
+    best = lowest_ce_per_pair(table.rows)
     rows = [(0, 4, "true"), (0, 5, "true"), (4, 5, "sibling"), (5, 4, "sibling"), (1, 2, "unrelated")]
     print(f"  {'pair':>10} {'kind':>10} {'best lag (ms)':>14} {'epsilon':>9}")
     for src, tgt, kind in rows:

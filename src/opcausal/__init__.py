@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .causal import (
     CausalNetwork,
     Edge,
-    bivariate_network,
     epsilon_test,
+    evidence_table,
     infer_network,
     minimal_conditioning_set,
 )
@@ -53,13 +53,13 @@ __all__ = [
     "NmmConfig",
     "PatternMatrix",
     "add_observation_noise",
-    "bivariate_network",
     "build_moptn",
     "ce_tensor",
     "conditional_entropy_given_set",
     "decimate",
     "embed",
     "epsilon_test",
+    "evidence_table",
     "infer_network",
     "metrics",
     "minimal_conditioning_set",

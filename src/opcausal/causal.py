@@ -4,7 +4,8 @@ A sub-threshold entry is only a candidate link; each candidate is tested by
 conditioning the target on a small set of shared neighbors and measuring how
 much additional entropy reduction the candidate source provides. The test
 gives one `Evidence` row per candidate; candidates whose contribution falls
-below delta are pruned as indirect.
+below delta are pruned as indirect. The rows do not depend on delta, so an
+`EvidenceTable` holds them once and gives the network at any delta.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class CausalNetwork:
         return {(e.source, e.target) for e in self.edges}
 
 
-def _candidate_links(tensor: CETensor):
-    """(source, target, delay, ce) of every candidate, by target, source, delay."""
-    for m, n, j in zip(*np.nonzero(tensor.candidates())):
-        yield int(n), int(m), tensor.delays.delays[j], float(tensor.values[m, n, j])
-
-
 def minimal_conditioning_set(
     tensor: CETensor, m: int, n: int, size: int = _MAX_CONDITIONING
 ) -> ConditioningSet:
@@ -147,17 +142,6 @@ def lowest_ce_per_pair(links):
     return best
 
 
-def _network(links, h_max, params, delays, lam, delta, one_per_pair) -> CausalNetwork:
-    """Network of (source, target, delay, ce) links, edges by source, target, delay."""
-    edges = [Edge(src, tgt, tau, ce, h_max - ce) for src, tgt, tau, ce in links]
-    if one_per_pair:
-        edges = list(lowest_ce_per_pair(edges).values())
-    edges.sort(key=lambda e: (e.source, e.target, e.delay))
-    snapshot = {"m": params.m, "d": params.d, "delays": list(delays.delays),
-                "lambda": lam, "delta": delta}
-    return CausalNetwork(edges=edges, h_max=h_max, params=snapshot)
-
-
 def candidate_tensor(
     series: MultivariateSeries,
     params: EmbeddingParams,
@@ -178,17 +162,6 @@ def candidate_tensor(
         names = ", ".join(f"{n} ({series.channel_names[n]})" for n in constant)
         raise DegenerateSample(f"channel(s) {names} hold a single ordinal pattern")
     return pi, threshold(ce_tensor(pi, delays), lam)
-
-
-def bivariate_network(
-    series: MultivariateSeries,
-    params: EmbeddingParams,
-    delays: DelayGrid,
-    lam: float = DEFAULT_LAMBDA,
-) -> CausalNetwork:
-    """Network from thresholding alone; indirect links are not removed."""
-    _, tensor = candidate_tensor(series, params, delays, lam)
-    return _network(_candidate_links(tensor), tensor.h_max, params, delays, lam, None, False)
 
 
 def reliable_conditioning_size(pi: PatternMatrix) -> int:
@@ -223,12 +196,58 @@ def prune_tensor(
     r_eff = reliable_conditioning_size(pi)
     p_mins: dict[tuple[int, int], ConditioningSet] = {}
     rows = []
-    for n, m, tau, ce in _candidate_links(tensor):
+    for m, n, j in zip(*np.nonzero(tensor.candidates())):
+        m, n, tau = int(m), int(n), tensor.delays.delays[j]
         if (m, n) not in p_mins:
             p_mins[m, n] = minimal_conditioning_set(tensor, m, n, r_eff)
         _, eps = epsilon_test(pi, m, n, tau, p_mins[m, n], delta)
-        rows.append(Evidence(n, m, tau, ce, p_mins[m, n], eps))
+        rows.append(Evidence(n, m, tau, float(tensor.values[m, n, j]), p_mins[m, n], eps))
     return rows
+
+
+@dataclass(frozen=True)
+class EvidenceTable:
+    """One input's Evidence rows and the h_max, embedding, grid and lambda behind them."""
+
+    rows: tuple[Evidence, ...]
+    h_max: float
+    params: EmbeddingParams
+    delays: DelayGrid
+    lam: float
+
+    def network(self, delta=None, one_delay_per_pair=False) -> CausalNetwork:
+        """Edges of the rows with epsilon >= delta, or of every row (bivariate) for None.
+
+        With one_delay_per_pair each directed pair keeps only its lowest-CE
+        delay, which suits couplings through a smooth response, where several
+        neighboring lags pass the tests. Edges go by source, target, delay.
+        """
+        if delta is not None:
+            check("delta", delta)
+        edges = [Edge(r.source, r.target, r.delay, r.ce, self.h_max - r.ce)
+                 for r in self.rows if delta is None or r.epsilon >= delta]
+        if one_delay_per_pair:
+            edges = list(lowest_ce_per_pair(edges).values())
+        edges.sort(key=lambda e: (e.source, e.target, e.delay))
+        snapshot = {"m": self.params.m, "d": self.params.d, "delays": list(self.delays.delays),
+                    "lambda": self.lam, "delta": delta}
+        return CausalNetwork(edges=edges, h_max=self.h_max, params=snapshot)
+
+
+def evidence_table(
+    series: MultivariateSeries,
+    params: EmbeddingParams,
+    delays: DelayGrid,
+    lam: float = DEFAULT_LAMBDA,
+    delta: float = DEFAULT_DELTA,
+) -> EvidenceTable:
+    """Encode, count, threshold and prune once: every network of `series` is a view of it.
+
+    No row depends on delta: it only sets epsilon_test's keep flag, which perfbench counts.
+    """
+    check("delta", delta)
+    pi, tensor = candidate_tensor(series, params, delays, lam)
+    return EvidenceTable(tuple(prune_tensor(pi, tensor, delta)), tensor.h_max, params, delays, lam)
 
 
 def infer_network(
@@ -239,14 +258,5 @@ def infer_network(
     delta: float = DEFAULT_DELTA,
     one_delay_per_pair: bool = False,
 ) -> CausalNetwork:
-    """Full pipeline: encode, pairwise entropies, threshold, prune, edge list.
-
-    With one_delay_per_pair the edge list keeps only the lowest-CE surviving
-    delay for each directed pair, which suits systems whose coupling acts
-    through a smooth response so several neighboring lags pass the tests.
-    """
-    check("delta", delta)
-    pi, tensor = candidate_tensor(series, params, delays, lam)
-    rows = prune_tensor(pi, tensor, delta)
-    kept = [(r.source, r.target, r.delay, r.ce) for r in rows if r.epsilon >= delta]
-    return _network(kept, tensor.h_max, params, delays, lam, delta, one_delay_per_pair)
+    """Full pipeline: the input's EvidenceTable viewed at delta."""
+    return evidence_table(series, params, delays, lam, delta).network(delta, one_delay_per_pair)

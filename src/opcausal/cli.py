@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
-from .errors import OpcausalError, check
+from .errors import OpcausalError, check, whole
 from .evaluate import SYSTEMS, _system, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
 from .simulate import GroundTruth, NmmConfig, add_observation_noise
@@ -138,15 +138,6 @@ def write_truth_json(truth: GroundTruth, path: str | Path) -> None:
     _write_json(path, {"description": truth.description, "edges": edges})
 
 
-def read_truth_json(path: str | Path) -> GroundTruth:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return GroundTruth(
-        edges=[(e["source"], e["target"], e["delay_samples"]) for e in payload["edges"]],
-        description=payload.get("description", ""),
-    )
-
-
 def write_network_json(
     network: CausalNetwork, path: str | Path, sample_rate: float | None = None
 ) -> None:
@@ -228,16 +219,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _integer(cfg: dict, key: str) -> int:
-    """cfg[key] as an int; a bool, a string or a fractional value is an error."""
-    value = cfg[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise OpcausalError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _number(cfg: dict, key: str) -> float:
     """cfg[key] as a float; a bool, a string or null is an error."""
     value = cfg[key]
@@ -252,13 +233,12 @@ def _pipeline_inputs(args):
     Every setting is checked before the CSV is read, so a bad one fails
     without parsing the input.
     """
+    if args.sample_rate is not None:
+        check("sample_rate", args.sample_rate)
     cfg = _merge_config(args)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
-    params = EmbeddingParams(m=_integer(cfg, "M"), d=_integer(cfg, "d"))
-    settings = {
-        "lam": _number(cfg, "lambda"),
-        "delta": _number(cfg, "delta"),
-    }
+    params = EmbeddingParams(m=whole("M", cfg["M"]), d=whole("d", cfg["d"]))
+    settings = {"lam": _number(cfg, "lambda"), "delta": _number(cfg, "delta")}
     check("delta", settings["delta"])
     check("lambda", settings["lam"])
     series = read_series_csv(args.input, sample_rate=args.sample_rate)

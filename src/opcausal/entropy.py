@@ -21,6 +21,7 @@ from .errors import (
     LagTooLarge,
     TooFewChannels,
     check,
+    whole,
 )
 from .ordinal import PatternMatrix
 
@@ -40,7 +41,7 @@ class DelayGrid:
     delays: tuple[int, ...]
 
     def __init__(self, delays):
-        delays = tuple(int(t) for t in delays)
+        delays = tuple(whole("delay", t) for t in delays)
         if not delays:
             raise ValueError("delay grid must be non-empty")
         if any(t < 0 for t in delays):
@@ -99,7 +100,7 @@ class ConditioningSet:
     members: tuple[tuple[int, int], ...]
 
     def __init__(self, members):
-        members = tuple((int(c), int(t)) for c, t in members)
+        members = tuple((whole("channel", c), whole("delay", t)) for c, t in members)
         if not members:
             raise ValueError("conditioning set must have at least one member")
         if any(t < 0 for _, t in members):

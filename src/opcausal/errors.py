@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the pipeline, and the rule of every setting."""
+"""Exception hierarchy shared across the pipeline, the integer checks and every setting's rule."""
 
 import math
 from numbers import Integral
@@ -60,6 +60,18 @@ class TruthOffGrid(OpcausalError):
     pass
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def whole(name: str, value) -> int:
+    """value as an int: an integer or a float with no fraction, else ValueError naming it."""
+    if is_integer(value) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # setting -> (rule a good value obeys, message for a bad one); each rule is a
 # comparison that holds, so NaN breaks every rule
 SETTINGS = {
@@ -68,7 +80,7 @@ SETTINGS = {
     "T": (lambda v: v >= 1, "need at least 1 sample, got {}"),
     # the samples a simulator steps and discards before the first kept one
     "lead_in": (
-        lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0,
+        lambda v: is_integer(v) and v >= 0,
         "a lead-in (burn_in, transient_samples) must be an integer >= 0, got {!r}",
     ),
     "NL": (lambda v: v >= 0, "noise level must be non-negative, got {}"),

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NonFiniteValue, SeriesTooShort, check
+from .errors import NonFiniteValue, SeriesTooShort, check, is_integer
 
 MAX_EMBEDDING_DIM = 8
 
@@ -26,6 +26,9 @@ class EmbeddingParams:
     d: int
 
     def __post_init__(self):
+        for name, value in (("embedding dimension", self.m), ("embedding delay", self.d)):
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (2 <= self.m <= MAX_EMBEDDING_DIM):
             raise ValueError(f"embedding dimension must be in [2, {MAX_EMBEDDING_DIM}], got {self.m}")
         if self.d < 1:

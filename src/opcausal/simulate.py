@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteState, ParameterUnset, check
+from .errors import NonFiniteState, ParameterUnset, check, is_integer
 from .ordinal import MultivariateSeries
 
 
@@ -64,15 +64,11 @@ AR_N_CHANNELS = 9
 _AR_BLOCK_ROWS = 64
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _check_ar_couplings(couplings: dict, n_channels: int) -> None:
     """Raise ValueError naming the first coupling simulate_ar cannot step."""
     for key, c in couplings.items():
         src, tgt, delay = key
-        if not all(_is_int(v) for v in key):
+        if not all(is_integer(v) for v in key):
             raise ValueError(f"coupling {key}: endpoints and delay must be integers")
         if not (0 <= src < n_channels and 0 <= tgt < n_channels):
             raise ValueError(f"coupling {key}: endpoints must be in [0, {n_channels})")
@@ -151,7 +147,7 @@ def simulate_ar(
         couplings = AR_COUPLINGS
     if n_channels is None:
         n_channels = AR_N_CHANNELS
-    if not (_is_int(n_channels) and n_channels >= 1):
+    if not (is_integer(n_channels) and n_channels >= 1):
         raise ValueError(f"n_channels must be an integer >= 1, got {n_channels!r}")
     _check_ar_couplings(couplings, n_channels)
     check("lead_in", burn_in)

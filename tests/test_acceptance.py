@@ -15,8 +15,8 @@ from opcausal import (
     DelayGrid,
     EmbeddingParams,
     MultivariateSeries,
-    bivariate_network,
     conditional_entropy_given_set,
+    evidence_table,
     infer_network,
     reproduction_nmm_config,
     simulate_ar,
@@ -219,8 +219,9 @@ def test_criterion_6_chain_fork_pruning():
             series, truth = simulate_ar(
                 10_000, seed=seed, couplings=couplings, n_channels=3
             )
-            bi = bivariate_network(series, params, grid)
-            full = infer_network(series, params, grid, delta=0.15)
+            # one table gives the bivariate network and the pruned one
+            table = evidence_table(series, params, grid, delta=0.15)
+            bi, full = table.network(), table.network(0.15)
             if spurious_pair in bi.edge_pairs():
                 bi_hits += 1
             if spurious_pair not in full.edge_pairs():
@@ -255,17 +256,11 @@ def test_criterion_7_neural_mass_network():
     table = {delta: [] for delta in deltas}
     for s in seeds:
         # run_realization("nmm", {**cell, "delta": delta}, s, cfg) for every
-        # delta, step by step, to simulate each seed once
+        # delta, step by step, to simulate and prune each seed once
         series, truth, grid = simulate_realization("nmm", cell, s, cfg)
+        evidence = evidence_table(series, EmbeddingParams(3, nmm.d), grid, lam=cell["lambda"])
         for delta in deltas:
-            net = infer_network(
-                series,
-                EmbeddingParams(3, nmm.d),
-                grid,
-                lam=cell["lambda"],
-                delta=delta,
-                one_delay_per_pair=nmm.one_delay_per_pair,
-            )
+            net = evidence.network(delta, nmm.one_delay_per_pair)
             m = metrics(score(net, truth, series.n_channels, grid, nmm.delay_sensitive))
             table[delta].append((m.tpr, m.fpr))
     perfect = [d for d, v in table.items() if all(t == 1.0 and f == 0.0 for t, f in v)]
@@ -296,8 +291,8 @@ def test_criterion_8_determinism_and_monotonicity():
     )
     params = EmbeddingParams(3, 2)
     grid = DelayGrid(range(1, 6))
-    net_a = infer_network(series_a, params, grid, delta=0.15)
-    net_b = infer_network(series_b, params, grid, delta=0.15)
+    net_a = evidence_table(series_a, params, grid).network(0.15)
+    net_b = evidence_table(series_b, params, grid).network(0.15)
     deterministic = deterministic and net_a.edge_triples() == net_b.edge_triples()
 
     rng = np.random.default_rng(BASE_SEED)
@@ -305,10 +300,10 @@ def test_criterion_8_determinism_and_monotonicity():
     for _ in range(20):
         data = rng.standard_normal((2000, 3))
         data[2:, 1] += rng.uniform(0.5, 2.0) * data[:-2, 0]
-        series = MultivariateSeries(data=data)
+        table = evidence_table(MultivariateSeries(data=data), params, grid)
         previous = None
         for delta in (0.0, 0.05, 0.1, 0.2, 0.4):
-            edges = infer_network(series, params, grid, delta=delta).edge_triples()
+            edges = table.network(delta).edge_triples()
             if previous is not None and not edges <= previous:
                 monotone = False
             previous = edges

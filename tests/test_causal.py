@@ -9,8 +9,8 @@ from opcausal import (
     DelayGrid,
     EmbeddingParams,
     MultivariateSeries,
-    bivariate_network,
     epsilon_test,
+    evidence_table,
     infer_network,
     minimal_conditioning_set,
 )
@@ -169,8 +169,8 @@ class TestPipeline:
         series, truth = simulate_ar(10_000, seed=5, couplings=couplings, n_channels=3)
         params = EmbeddingParams(m=3, d=100)
         grid = DelayGrid(range(1, 11))
-        bi = bivariate_network(series, params, grid)
-        full = infer_network(series, params, grid, delta=0.15)
+        table = evidence_table(series, params, grid)
+        bi, full = table.network(), table.network(0.15)
         assert (0, 2) in bi.edge_pairs()
         assert (0, 2) not in full.edge_pairs()
         assert truth.pairs() <= full.edge_pairs()
@@ -223,9 +223,10 @@ class TestPipeline:
         series = MultivariateSeries(data=rng.standard_normal((3000, 4)))
         params = EmbeddingParams(m=3, d=2)
         grid = DelayGrid(range(1, 6))
+        table = evidence_table(series, params, grid)
         previous = None
         for delta in (0.0, 0.05, 0.1, 0.2, 0.4):
-            edges = infer_network(series, params, grid, delta=delta).edge_triples()
+            edges = table.network(delta).edge_triples()
             if previous is not None:
                 assert edges <= previous
             previous = edges
@@ -257,10 +258,13 @@ class TestEvidence:
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
         series, _ = simulate_ar(6000, seed=5, couplings=couplings, n_channels=3)
         pi, tensor = candidate_tensor(series, self.PARAMS, self.GRID)
-        return series, pi, tensor, prune_tensor(pi, tensor, delta=0.15)
+        table = evidence_table(series, self.PARAMS, self.GRID)
+        assert table.rows == tuple(prune_tensor(pi, tensor, delta=0.15))
+        return series, pi, tensor, table
 
     def test_one_row_per_candidate(self, chain):
-        _, _, tensor, rows = chain
+        _, _, tensor, table = chain
+        rows = table.rows
         targets, sources, lags = np.nonzero(tensor.values < tensor.h_max)
         assert [(r.target, r.source, r.delay) for r in rows] == [
             (t, s, self.GRID.delays[j]) for t, s, j in zip(targets, sources, lags)
@@ -270,29 +274,46 @@ class TestEvidence:
             assert r.ce == tensor.values[r.target, r.source, j]
 
     def test_epsilon_is_the_test_on_its_own_conditioning(self, chain):
-        _, pi, _, rows = chain
-        for r in rows:
+        _, pi, _, table = chain
+        for r in table.rows:
             keep, eps = epsilon_test(
                 pi, r.target, r.source, r.delay, r.conditioning, delta=0.15
             )
             assert eps == r.epsilon
             assert keep == (r.epsilon >= 0.15)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.15, 0.4])
-    def test_infer_network_keeps_rows_at_delta(self, chain, delta):
-        series, _, _, rows = chain
-        net = infer_network(series, self.PARAMS, self.GRID, delta=delta)
-        assert net.edge_triples() == {
-            (r.source, r.target, r.delay) for r in rows if r.epsilon >= delta
-        }
+    VIEWS = [(delta, one) for one in (False, True) for delta in (0.0, 0.05, 0.15, 0.4)]
+
+    @pytest.mark.parametrize(
+        "delta, one_delay_per_pair",
+        VIEWS,
+        ids=[f"{delta}-one_delay_per_pair" if one else str(delta) for delta, one in VIEWS],
+    )
+    def test_infer_network_keeps_rows_at_delta(self, chain, delta, one_delay_per_pair):
+        series, _, _, table = chain
+        net = infer_network(
+            series, self.PARAMS, self.GRID, delta=delta, one_delay_per_pair=one_delay_per_pair
+        )
+        view = table.network(delta, one_delay_per_pair)
+        assert (net.edges, net.params, net.h_max) == (view.edges, view.params, view.h_max)
+        kept = [r for r in table.rows if r.epsilon >= delta]
+        if one_delay_per_pair:
+            kept = lowest_ce_per_pair(kept).values()
+        assert net.edge_triples() == {(r.source, r.target, r.delay) for r in kept}
 
     def test_bivariate_network_is_every_candidate(self, chain):
-        series, _, tensor, rows = chain
-        bi = bivariate_network(series, self.PARAMS, self.GRID)
+        _, _, tensor, table = chain
+        bi = table.network()
         assert [(e.source, e.target, e.delay, e.ce) for e in bi.edges] == sorted(
-            (r.source, r.target, r.delay, r.ce) for r in rows
+            (r.source, r.target, r.delay, r.ce) for r in table.rows
         )
         assert all(e.strength == tensor.h_max - e.ce for e in bi.edges)
+        assert bi.params["delta"] is None
+
+    @pytest.mark.parametrize("delta", [-0.1, float("nan")])
+    def test_network_rejects_a_bad_delta(self, chain, delta):
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            chain[3].network(delta)
 
     def test_lowest_ce_per_pair(self):
         cond = ConditioningSet([(2, 1)])

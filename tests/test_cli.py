@@ -19,7 +19,6 @@ from opcausal.cli import (
     main,
     parse_delays,
     read_series_csv,
-    read_truth_json,
     write_series_csv,
     write_truth_json,
 )
@@ -210,9 +209,12 @@ class TestTruthJsonRoundTrip:
         truth = GroundTruth(edges=[(0, 1, 4), (2, 0, 2)], description="demo")
         path = tmp_path / "truth.json"
         write_truth_json(truth, path)
-        back = read_truth_json(path)
-        assert back.edges == truth.edges
-        assert back.description == "demo"
+        with open(path) as fh:
+            back = json.load(fh)
+        assert [(e["source"], e["target"], e["delay_samples"]) for e in back["edges"]] == (
+            truth.edges
+        )
+        assert back["description"] == "demo"
 
 
 class TestParseDelays:
@@ -276,8 +278,9 @@ class TestCommands:
         )
         assert rc == 0
         assert (tmp_path / "run.csv").exists()
-        truth = read_truth_json(tmp_path / "run.truth.json")
-        assert len(truth.edges) == 9
+        with open(tmp_path / "run.truth.json") as fh:
+            truth = json.load(fh)
+        assert len(truth["edges"]) == 9
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["seed"] == 5
         assert "seed: 5" in capsys.readouterr().out
@@ -534,6 +537,7 @@ class TestCommands:
                 ),
                 ("--lambda", "1.5", "lambda must be in (0, 1], got 1.5"),
                 ("--delta", "-1", "delta must be non-negative, got -1.0"),
+                ("--sample-rate", "-1", "sample rate must be a positive finite number, got -1.0"),
             ]
         ]
         + [
@@ -557,6 +561,21 @@ class TestCommands:
         argv = [command, "--input", str(tmp_path / "series.csv"), "--out", str(out)]
         assert main([*argv, "--sample-rate", "100", flag, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["infer", "windowed"])
+    def test_zero_sample_rate_is_named_before_delays_in_ms(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the CSV before checking the sample rate")
+
+        monkeypatch.setattr(cli, "read_series_csv", refuse)
+        out = tmp_path / "result"
+        argv = [command, "--input", str(tmp_path / "series.csv"), "--out", str(out)]
+        assert main([*argv, "--sample-rate", "0", "--delays-in-ms", "--delays", "10-50:10"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample rate must be a positive finite number, got 0.0\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_windowed_needs_a_sample_rate(self, tmp_path, capsys):

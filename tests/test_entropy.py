@@ -603,3 +603,36 @@ class TestDelayGrid:
 
     def test_iteration(self):
         assert list(DelayGrid(range(1, 4))) == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "delays, bad", [([1.7, 2.2], "1.7"), ([1, 2.5], "2.5"), ([True, 2], "True"), (["1"], "'1'")]
+    )
+    def test_rejects_a_delay_that_is_not_whole(self, delays, bad):
+        # int() would truncate 1.7 and 2.2 to the grid (1, 2)
+        with pytest.raises(ValueError, match=re.escape(f"delay must be an integer, got {bad}")):
+            DelayGrid(delays)
+
+    def test_whole_delays_of_any_type_become_ints(self):
+        grid = DelayGrid([2, np.int64(3), 4.0, np.float64(5.0)])
+        assert grid.delays == (2, 3, 4, 5)
+        assert {type(t) for t in grid.delays} == {int}
+
+
+class TestConditioningSetMembers:
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([(0.9, 2)], "channel must be an integer, got 0.9"),
+            ([(0, 2.6)], "delay must be an integer, got 2.6"),
+            ([(0, 1), (1, float("nan"))], "delay must be an integer, got nan"),
+        ],
+    )
+    def test_rejects_a_member_that_is_not_whole(self, members, message):
+        # int() would truncate (0.9, 2.6) to the member (0, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ConditioningSet(members)
+
+    def test_whole_members_of_any_type_become_ints(self):
+        cond = ConditioningSet([(np.int64(1), 2.0), (0, np.int64(3))])
+        assert cond.members == ((1, 2), (0, 3))
+        assert {type(v) for member in cond.members for v in member} == {int}

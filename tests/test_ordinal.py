@@ -1,5 +1,6 @@
 """Ordinal pattern encoding: worked examples, counting, and properties."""
 
+import re
 from itertools import permutations
 from math import factorial
 
@@ -209,6 +210,24 @@ class TestParams:
     def test_delay_bound(self):
         with pytest.raises(ValueError):
             EmbeddingParams(m=3, d=0)
+
+    @pytest.mark.parametrize(
+        "m, d, message",
+        [
+            (3.5, 1, "embedding dimension must be an integer, got 3.5"),
+            (3.0, 1, "embedding dimension must be an integer, got 3.0"),
+            (3, 1.5, "embedding delay must be an integer, got 1.5"),
+            (3, True, "embedding delay must be an integer, got True"),
+            (3, "2", "embedding delay must be an integer, got '2'"),
+        ],
+    )
+    def test_rejects_a_value_that_is_not_an_integer(self, m, d, message):
+        # a float m or d would otherwise build and fail later in the encoder
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmbeddingParams(m=m, d=d)
+
+    def test_accepts_numpy_integers(self):
+        assert EmbeddingParams(m=np.int64(3), d=np.int64(2)).span == 4
 
     def test_span(self):
         assert EmbeddingParams(m=3, d=100).span == 200

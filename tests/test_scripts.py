@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opcausal import DelayGrid, EmbeddingParams, MultivariateSeries, reproduction_nmm_config
+from opcausal import DelayGrid, EmbeddingParams, MultivariateSeries, causal, reproduction_nmm_config
 from opcausal.causal import (
     candidate_tensor,
     epsilon_test,
@@ -70,12 +70,13 @@ def test_lorenz_epsilon_table_pair_without_candidate(rng):
 
 def test_nmm_part2_prints_each_pair(monkeypatch, capsys):
     nmm = load("nmm_analysis")
-    prune = nmm.prune_tensor
+    prune = causal.prune_tensor
 
     def without_1_to_2(*args):
         return [r for r in prune(*args) if (r.source, r.target) != (1, 2)]
 
-    monkeypatch.setattr(nmm, "prune_tensor", without_1_to_2)
+    # the script's evidence_table looks prune_tensor up in causal
+    monkeypatch.setattr(causal, "prune_tensor", without_1_to_2)
     nmm.part2(reproduction_nmm_config(), argparse.Namespace(T=20_000, delta=0.1))
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:8]]
     assert rows == [
