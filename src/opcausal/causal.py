@@ -216,11 +216,10 @@ class EvidenceTable:
     lam: float
 
     def network(self, delta=None, one_delay_per_pair=False) -> CausalNetwork:
-        """Edges of the rows with epsilon >= delta, or of every row (bivariate) for None.
+        """Edges (by source, target, delay) of the rows with epsilon >= delta, all rows for None.
 
-        With one_delay_per_pair each directed pair keeps only its lowest-CE
-        delay, which suits couplings through a smooth response, where several
-        neighboring lags pass the tests. Edges go by source, target, delay.
+        With one_delay_per_pair each directed pair keeps only its lowest-CE delay, which
+        suits couplings through a smooth response, where neighboring lags pass as well.
         """
         if delta is not None:
             check("delta", delta)

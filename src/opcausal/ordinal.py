@@ -20,15 +20,16 @@ MAX_EMBEDDING_DIM = 8
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """Embedding dimension `m` (>=2) and delay `d` (>=1, in samples)."""
+    """Integer embedding dimension `m` (>=2) and delay `d` (>=1, in samples)."""
 
     m: int
     d: int
 
     def __post_init__(self):
-        for name, value in (("embedding dimension", self.m), ("embedding delay", self.d)):
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for attr, name in (("m", "embedding dimension"), ("d", "embedding delay")):
+            if not is_integer(getattr(self, attr)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, attr)!r}")
+            object.__setattr__(self, attr, int(getattr(self, attr)))  # np.int64(3) becomes 3
         if not (2 <= self.m <= MAX_EMBEDDING_DIM):
             raise ValueError(f"embedding dimension must be in [2, {MAX_EMBEDDING_DIM}], got {self.m}")
         if self.d < 1:

@@ -220,7 +220,7 @@ def test_criterion_6_chain_fork_pruning():
                 10_000, seed=seed, couplings=couplings, n_channels=3
             )
             # one table gives the bivariate network and the pruned one
-            table = evidence_table(series, params, grid, delta=0.15)
+            table = evidence_table(series, params, grid)
             bi, full = table.network(), table.network(0.15)
             if spurious_pair in bi.edge_pairs():
                 bi_hits += 1

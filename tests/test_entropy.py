@@ -605,7 +605,8 @@ class TestDelayGrid:
         assert list(DelayGrid(range(1, 4))) == [1, 2, 3]
 
     @pytest.mark.parametrize(
-        "delays, bad", [([1.7, 2.2], "1.7"), ([1, 2.5], "2.5"), ([True, 2], "True"), (["1"], "'1'")]
+        "delays, bad",
+        [([1.7, 2.2], "1.7"), ([1, 2.5], "2.5"), ([True, 2], "True"), (["1"], "'1'")],
     )
     def test_rejects_a_delay_that_is_not_whole(self, delays, bad):
         # int() would truncate 1.7 and 2.2 to the grid (1, 2)

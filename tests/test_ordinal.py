@@ -226,8 +226,11 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmbeddingParams(m=m, d=d)
 
-    def test_accepts_numpy_integers(self):
-        assert EmbeddingParams(m=np.int64(3), d=np.int64(2)).span == 4
+    def test_numpy_integers_become_ints(self):
+        # so a network's params, which copy m and d, stay JSON numbers
+        params = EmbeddingParams(m=np.int64(3), d=np.int64(2))
+        assert params == EmbeddingParams(m=3, d=2)
+        assert type(params.m) is int and type(params.d) is int
 
     def test_span(self):
         assert EmbeddingParams(m=3, d=100).span == 200

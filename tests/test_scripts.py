@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opcausal import DelayGrid, EmbeddingParams, MultivariateSeries, causal, reproduction_nmm_config
+from opcausal import (
+    DelayGrid,
+    EmbeddingParams,
+    MultivariateSeries,
+    causal,
+    reproduction_nmm_config,
+)
 from opcausal.causal import (
     candidate_tensor,
     epsilon_test,
