@@ -242,7 +242,7 @@ def evidence_table(
 ) -> EvidenceTable:
     """Encode, count, threshold and prune once: every network of `series` is a view of it.
 
-    No row depends on delta: it only sets epsilon_test's keep flag, which perfbench counts.
+    No row depends on delta; it sets only epsilon_test's keep flag, read by perfbench's tracer.
     """
     check("delta", delta)
     pi, tensor = candidate_tensor(series, params, delays, lam)
