@@ -11,6 +11,7 @@ below delta are pruned as indirect. The rows do not depend on delta, so an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log2
 from typing import Any
 
 import numpy as np
@@ -84,30 +85,24 @@ def minimal_conditioning_set(
     than m itself). Falls back to the common parents of m and n, and finally
     to the target's own past at the grid's smallest positive delay (1 on a
     grid of lag 0 alone). Sets are node-based: a channel linked at several
-    delays contributes only its most dominant (lowest-CE, then earliest)
-    delay. Members are ordered by (CE, delay, channel); capped at the `size`
-    members with the lowest CE, equal CEs broken by (channel, delay) order.
+    delays contributes only its lowest-(CE, delay) lag. Members are ordered
+    by (CE, channel, delay), and the first `size` of them are kept.
     """
     linked = tensor.candidates().any(axis=2)
     if not linked[m, n]:
         raise CandidateNotALink(f"{n} -> {m} is not a candidate link")
-    members = linked[m] & linked[:, n]
-    members[m] = False
-    if not members.any():
-        members = linked[m] & linked[n]
+    for members in (linked[m] & linked[:, n], linked[m] & linked[n]):
         members[m] = False
-    if not members.any():
+        if members.any():
+            break
+    else:
         return ConditioningSet([(m, next((t for t in tensor.delays if t > 0), 1))])
 
     channels = np.flatnonzero(members)
     lags = tensor.values[m, channels].argmin(axis=1)
-    best = sorted(
-        (float(tensor.values[m, c, j]), tensor.delays.delays[j], int(c))
-        for c, j in zip(channels, lags)
-    )
-    if len(best) > size:
-        best = sorted(best, key=lambda b: (b[0], b[2], b[1]))[:size]
-    return ConditioningSet([(c, tau) for _, tau, c in best])
+    # lag index order is delay order: the grid is strictly increasing
+    best = sorted(zip(tensor.values[m, channels, lags].tolist(), channels.tolist(), lags.tolist()))
+    return ConditioningSet([(c, tensor.delays.delays[j]) for _, c, j in best[:size]])
 
 
 def epsilon_test(
@@ -207,13 +202,16 @@ def prune_tensor(
 
 @dataclass(frozen=True)
 class EvidenceTable:
-    """One input's Evidence rows and the h_max, embedding, grid and lambda behind them."""
+    """One input's Evidence rows and the embedding, grid and lambda behind them."""
 
     rows: tuple[Evidence, ...]
-    h_max: float
     params: EmbeddingParams
     delays: DelayGrid
     lam: float
+
+    @property
+    def h_max(self) -> float:
+        return log2(self.params.n_patterns)
 
     def network(self, delta=None, one_delay_per_pair=False) -> CausalNetwork:
         """Edges (by source, target, delay) of the rows with epsilon >= delta, all rows for None.
@@ -246,7 +244,7 @@ def evidence_table(
     """
     check("delta", delta)
     pi, tensor = candidate_tensor(series, params, delays, lam)
-    return EvidenceTable(tuple(prune_tensor(pi, tensor, delta)), tensor.h_max, params, delays, lam)
+    return EvidenceTable(tuple(prune_tensor(pi, tensor, delta)), params, delays, lam)
 
 
 def infer_network(

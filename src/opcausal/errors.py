@@ -72,12 +72,17 @@ def whole(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _count(value) -> bool:
+    """The rule of a count (samples, realizations, workers): an integer >= 1."""
+    return is_integer(value) and value >= 1
+
+
 # setting -> (rule a good value obeys, message for a bad one); each rule is a
 # comparison that holds, so NaN breaks every rule
 SETTINGS = {
     "lambda": (lambda v: 0 < v <= 1, "lambda must be in (0, 1], got {}"),
     "delta": (lambda v: v >= 0, "delta must be non-negative, got {}"),
-    "T": (lambda v: v >= 1, "need at least 1 sample, got {}"),
+    "T": (_count, "need at least 1 sample, and T must be an integer, got {!r}"),
     # the samples a simulator steps and discards before the first kept one
     "lead_in": (
         lambda v: is_integer(v) and v >= 0,
@@ -95,8 +100,8 @@ SETTINGS = {
         "window_s must be a positive finite number of seconds, got {}",
     ),
     "overlap": (lambda v: 0 <= v < 1, "overlap must be in [0, 1)"),
-    "n_realizations": (lambda v: v >= 1, "need at least one realization per cell"),
-    "max_workers": (lambda v: v >= 1, "max_workers (--threads) must be at least 1, got {}"),
+    "n_realizations": (_count, "n_realizations must be an integer >= 1, got {!r}"),
+    "max_workers": (_count, "max_workers (--threads) must be an integer >= 1, got {!r}"),
 }
 
 

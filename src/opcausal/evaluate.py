@@ -163,7 +163,7 @@ def _ten_to_hundred_ms(fs: float) -> range:
 SYSTEMS: dict[str, System] = {
     "ar": System(
         reads={"T": 10_000},
-        simulate=lambda cell, seed, _: simulate_ar(int(cell["T"]), seed),
+        simulate=lambda cell, seed, _: simulate_ar(cell["T"], seed),
         delays=_first_ten_samples,
         decimate=1,
         d=100,
@@ -172,9 +172,7 @@ SYSTEMS: dict[str, System] = {
     ),
     "lorenz": System(
         reads={"T": 10_000, "c": 0.6},
-        simulate=lambda cell, seed, _: simulate_lorenz_chain(
-            int(cell["T"]), c=float(cell["c"]), seed=seed
-        ),
+        simulate=lambda cell, seed, _: simulate_lorenz_chain(cell["T"], float(cell["c"]), seed),
         delays=_first_ten_samples,
         decimate=1,
         d=100,
@@ -187,10 +185,7 @@ SYSTEMS: dict[str, System] = {
     "nmm": System(
         reads={"T": 10_000, "K": 5.0},
         simulate=lambda cell, seed, cfg: simulate_nmm(
-            reproduction_nmm_config() if cfg is None else cfg,
-            float(cell["K"]),
-            int(cell["T"]),
-            seed,
+            reproduction_nmm_config() if cfg is None else cfg, float(cell["K"]), cell["T"], seed
         ),
         delays=_ten_to_hundred_ms,
         decimate=5,

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NonFiniteValue, SeriesTooShort, check, is_integer
+from .errors import NonFiniteValue, SeriesTooShort, check, is_integer, whole
 
 MAX_EMBEDDING_DIM = 8
 
@@ -87,6 +87,7 @@ def decimate(series: MultivariateSeries, factor: int) -> MultivariateSeries:
     filtering beforehand would distort the rank structure it is meant to
     protect.
     """
+    factor = whole("decimation factor", factor)
     if factor < 1:
         raise ValueError("decimation factor must be >= 1")
     rate = None if series.sample_rate is None else series.sample_rate / factor

@@ -141,6 +141,7 @@ def simulate_ar(
     coupling needs endpoints in [0, n_channels), an integer delay >= 1 and,
     if it is a self-coupling, a coefficient of zero.
     """
+    check("T", n_samples)
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     if couplings is None:

@@ -689,7 +689,7 @@ class TestCommands:
     def test_simulate_fewer_than_one_sample_is_an_error(self, tmp_path, capsys, system, T):
         argv = ["simulate", "--system", system, "--T", T, "--out", str(tmp_path / "run")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: need at least 1 sample, got {T}\n"
+        assert capsys.readouterr().err == f"error: need at least 1 sample, and T must be an integer, got {T}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_negative_noise_level_fails_before_simulating(
@@ -744,7 +744,7 @@ class TestCommands:
             ("--delta", "nan", "delta must be non-negative, got nan"),
             ("--lambda", "1.5", "lambda must be in (0, 1], got 1.5"),
             ("--NL", "-1", "noise level must be non-negative, got -1.0"),
-            ("--T", "0", "need at least 1 sample, got 0"),
+            ("--T", "0", "need at least 1 sample, and T must be an integer, got 0"),
             ("--K", "-5", "connection density K must be in [0, 100] percent, got -5.0"),
             ("--K", "nan", "connection density K must be in [0, 100] percent, got nan"),
             ("--T", "1e4", "--T item '1e4' is not an integer"),
@@ -771,7 +771,7 @@ class TestCommands:
         argv = ["sweep", "--system", "ar", "--delta", "0.1", "--T", "200", "--R", "1"]
         assert main([*argv, "--threads", threads, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: max_workers (--threads) must be at least 1, got {threads}\n"
+        assert err == f"error: max_workers (--threads) must be an integer >= 1, got {threads}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_in_two_processes_writes_the_serial_csv(self, tmp_path):

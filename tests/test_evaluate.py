@@ -146,6 +146,13 @@ class TestRunRealization:
         with pytest.raises(ValueError, match=f"reads no cell key {key}"):
             run_realization(system, {"T": 300, key: 1.0}, seed=0)
 
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_fractional_sample_count_fails_before_simulating(self, system, monkeypatch):
+        # the simulators check T before they draw: no integer is cut from 150.5
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=re.escape("T must be an integer, got 150.5")):
+            run_realization(system, {"T": 150.5}, seed=0)
+
     def test_negative_noise_level_fails_before_simulating(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("simulated before checking the noise level")
@@ -244,13 +251,17 @@ class TestSweep:
     @pytest.mark.parametrize(
         "grid,kwargs,message",
         [
-            ({"T": [300, 0]}, {}, "need at least 1 sample, got 0"),
-            ({"T": [-5]}, {}, "need at least 1 sample, got -5"),
-            ({"T": [300]}, {"max_workers": 0}, "max_workers (--threads) must be at least 1, got 0"),
+            ({"T": [300, 0]}, {}, "need at least 1 sample, and T must be an integer, got 0"),
+            ({"T": [-5]}, {}, "need at least 1 sample, and T must be an integer, got -5"),
+            ({"T": [300]}, {"max_workers": 0}, "max_workers (--threads) must be an integer >= 1, got 0"),
             ({"T": [300]}, {"nmm_config": reproduction_nmm_config()}, "reads no neural-mass"),
             ({"K": [5.0, -5.0]}, {}, "connection density K must be in [0, 100] percent, got -5.0"),
             ({"K": [np.nan]}, {}, "connection density K must be in [0, 100] percent, got nan"),
             ({"c": [0.6, np.nan]}, {}, "coupling strength must be non-negative"),
+            # T 2000.7 once ran a 2000-sample realization and recorded T 2000.7
+            ({"T": [300, 2000.7]}, {}, "T must be an integer, got 2000.7"),
+            ({"T": [300]}, {"n_realizations": 1.5}, "n_realizations must be an integer >= 1, got 1.5"),
+            ({"T": [300]}, {"max_workers": 1.5}, "(--threads) must be an integer >= 1, got 1.5"),
         ],
     )
     def test_bad_setting_fails_before_any_realization(self, monkeypatch, grid, kwargs, message):
@@ -260,7 +271,7 @@ class TestSweep:
         monkeypatch.setattr(evaluate, "_run_cell", run_cell)
         system = "nmm" if "K" in grid else "lorenz"  # lorenz reads c, only nmm reads K
         with pytest.raises(ValueError, match=re.escape(message)):
-            sweep(system, grid, 1, base_seed=0, **kwargs)
+            sweep(system, grid, **{"n_realizations": 1, "base_seed": 0, **kwargs})
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

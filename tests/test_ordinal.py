@@ -200,6 +200,18 @@ class TestDecimate:
         with pytest.raises(ValueError):
             decimate(random_series, 0)
 
+    # True once kept every sample, and 2.5 reached the slice as a bare TypeError
+    @pytest.mark.parametrize("factor", [True, 2.5])
+    def test_factor_that_is_not_an_integer_is_named(self, random_series, factor):
+        message = f"decimation factor must be an integer, got {factor!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decimate(random_series, factor)
+
+    def test_whole_float_factor_is_the_integer(self, random_series):
+        np.testing.assert_array_equal(
+            decimate(random_series, 2.0).data, decimate(random_series, 2).data
+        )
+
 
 class TestParams:
     @pytest.mark.parametrize("m", [0, 1, 9])

@@ -38,8 +38,11 @@ def test_script_imports(name):
     assert callable(load(name).main)
 
 
-def per_pair_epsilon(series, params, grid, delta, pairs):
-    """Epsilon of each pair at its lowest-CE lag, one epsilon_test per pair."""
+def per_pair_epsilon(series, params, grid, pairs):
+    """Epsilon of each pair at its lowest-CE lag, one epsilon_test per pair.
+
+    The delta passed to epsilon_test sets only its keep flag, not epsilon.
+    """
     pi, tensor = candidate_tensor(series, params, grid)
     r = reliable_conditioning_size(pi)
     candidates = tensor.candidates()
@@ -50,14 +53,14 @@ def per_pair_epsilon(series, params, grid, delta, pairs):
             continue
         tau = grid.delays[int(np.argmin(tensor.values[tgt, src, :]))]
         p_min = minimal_conditioning_set(tensor, tgt, src, size=r)
-        out[(src, tgt)] = epsilon_test(pi, tgt, src, tau, p_min, delta)[1]
+        out[(src, tgt)] = epsilon_test(pi, tgt, src, tau, p_min, 0.1)[1]
     return out
 
 
 def test_lorenz_epsilon_table_matches_per_pair_tests():
     lorenz = load("lorenz_analysis")
     series, _ = simulate_lorenz_chain(3000, c=0.6, seed=0)
-    args = (series, EmbeddingParams(m=3, d=100), DelayGrid(range(1, 11)), 0.1)
+    args = (series, EmbeddingParams(m=3, d=100), DelayGrid(range(1, 11)))
     table = lorenz.epsilon_table(*args)
     assert None not in table.values()
     assert table == per_pair_epsilon(*args, lorenz.PAIRS)
@@ -67,7 +70,7 @@ def test_lorenz_epsilon_table_pair_without_candidate(rng):
     lorenz = load("lorenz_analysis")
     data = rng.standard_normal((3000, 3))
     data[2:, 1] += 2.0 * data[:-2, 0]  # 0 -> 1; channel 2 is independent noise
-    args = (MultivariateSeries(data=data), EmbeddingParams(m=3, d=1), DelayGrid(range(1, 6)), 0.1)
+    args = (MultivariateSeries(data=data), EmbeddingParams(m=3, d=1), DelayGrid(range(1, 6)))
     table = lorenz.epsilon_table(*args)
     assert table[(0, 1)] > 0.1
     assert table[(1, 0)] is None and table[(1, 2)] is None

@@ -11,7 +11,7 @@ from opcausal.errors import SETTINGS, InvalidLambda, check
 BOUNDS = {
     "lambda": ([0.0, nextafter(1.0, 2.0)], [1.0]),
     "delta": ([nextafter(0.0, -1.0)], [0.0]),
-    "T": ([0], [1]),
+    "T": ([0, 2.0, 1.5, True], [1]),
     "lead_in": ([-1, 2.0, True], [0]),
     "NL": ([nextafter(0.0, -1.0)], [0.0]),
     "K": ([nextafter(0.0, -1.0), nextafter(100.0, 200.0)], [0.0, 100.0]),
@@ -19,8 +19,8 @@ BOUNDS = {
     "sample_rate": ([0.0, inf], []),
     "window_s": ([0.0, inf], []),
     "overlap": ([nextafter(0.0, -1.0), 1.0], [0.0]),
-    "n_realizations": ([0], [1]),
-    "max_workers": ([0], [1]),
+    "n_realizations": ([0, 2.0, 1.5, True], [1]),
+    "max_workers": ([0, 2.0, 1.5, True], [1]),
 }
 
 

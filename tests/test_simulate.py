@@ -43,6 +43,24 @@ WIDE_COUPLINGS = {
 }
 
 
+# a fractional T once reached the simulators as a bare TypeError, or was cut
+# to an integer on its way through evaluate.SYSTEMS
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda T: simulate_ar(T, 0),
+        lambda T: simulate_lorenz_chain(T),
+        lambda T: simulate_nmm(reproduction_nmm_config(), 5.0, T, 0),
+    ],
+    ids=["ar", "lorenz", "nmm"],
+)
+@pytest.mark.parametrize("n_samples", [150.5, 2000.0, True])
+def test_sample_count_that_is_not_an_integer_is_named(simulate, n_samples, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+    with pytest.raises(ValueError, match=re.escape(f"T must be an integer, got {n_samples!r}")):
+        simulate(n_samples)
+
+
 class TestSimulateAr:
     def test_shape_and_truth(self):
         series, truth = simulate_ar(5000, seed=1)
@@ -231,7 +249,7 @@ class TestSimulateLorenzChain:
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_fewer_than_one_sample(self, n_samples):
-        with pytest.raises(ValueError, match=f"need at least 1 sample, got {n_samples}"):
+        with pytest.raises(ValueError, match=f"need at least 1 sample, and T must be an integer, got {n_samples}"):
             simulate_lorenz_chain(n_samples)
 
     # sha256 of the output bytes at criterion 3's first two seeds (T=1e4,
@@ -326,7 +344,7 @@ class TestDrawNmmGraph:
 class TestSimulateNmm:
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_fewer_than_one_sample(self, n_samples):
-        with pytest.raises(ValueError, match=f"need at least 1 sample, got {n_samples}"):
+        with pytest.raises(ValueError, match=f"need at least 1 sample, and T must be an integer, got {n_samples}"):
             simulate_nmm(reproduction_nmm_config(), 5.0, n_samples, seed=0)
 
     # a negative transient used to cut the output short: -500 gave 499 rows of 1000
