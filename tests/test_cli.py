@@ -689,7 +689,8 @@ class TestCommands:
     def test_simulate_fewer_than_one_sample_is_an_error(self, tmp_path, capsys, system, T):
         argv = ["simulate", "--system", system, "--T", T, "--out", str(tmp_path / "run")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: need at least 1 sample, and T must be an integer, got {T}\n"
+        message = f"need at least 1 sample, and T must be an integer, got {T}"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_negative_noise_level_fails_before_simulating(

@@ -249,7 +249,8 @@ class TestSimulateLorenzChain:
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_fewer_than_one_sample(self, n_samples):
-        with pytest.raises(ValueError, match=f"need at least 1 sample, and T must be an integer, got {n_samples}"):
+        message = f"need at least 1 sample, and T must be an integer, got {n_samples}"
+        with pytest.raises(ValueError, match=message):
             simulate_lorenz_chain(n_samples)
 
     # sha256 of the output bytes at criterion 3's first two seeds (T=1e4,
@@ -344,7 +345,8 @@ class TestDrawNmmGraph:
 class TestSimulateNmm:
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_fewer_than_one_sample(self, n_samples):
-        with pytest.raises(ValueError, match=f"need at least 1 sample, and T must be an integer, got {n_samples}"):
+        message = f"need at least 1 sample, and T must be an integer, got {n_samples}"
+        with pytest.raises(ValueError, match=message):
             simulate_nmm(reproduction_nmm_config(), 5.0, n_samples, seed=0)
 
     # a negative transient used to cut the output short: -500 gave 499 rows of 1000
