@@ -193,9 +193,11 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
 def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarray:
     """Lagged joint counts of every ordered channel pair, two lags per product.
 
-    Returns a J x N*f x N*f int64 array whose entry [j, m*f + a, n*f + b]
+    Returns a J x N*f x N*f array whose entry [j, m*f + a, n*f + b]
     counts the t with channel m in symbol a at t and channel n in symbol b
     at t + tau_j, over t in [0, T' - tau_j), as the pair's joint codes count them.
+    No count exceeds T', so the counts are int32 while T' < 2^31, and int64
+    past that.
 
     The products count the symbols a, b < f - 1. The counts of the last
     symbol are what the window's symbol counts leave over: c[a, f-1] is
@@ -210,7 +212,8 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
     g = f - 1
     lags = delays.delays
     sources, targets = _window_symbol_counts(pi.symbols, lags, f)
-    counts = np.zeros((len(lags), n, f, n, f), dtype=np.int64)
+    count_dtype = np.promote_types(np.int32, np.min_scalar_type(-n_times))
+    counts = np.zeros((len(lags), n, f, n, f), dtype=count_dtype)
     # a block encodes its own rows plus those of the lags up to one block
     # ahead; a farther lag's target rows are encoded on their own, so a lag
     # near T' does not stretch every block over the rows in between
@@ -239,7 +242,8 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
                 np.multiply(target(lags[j + 1], k_next), _PACK, out=z[:k_next])
             z[k_next:] = 0
             z += target(lags[j], k)
-            both = (onehot[:k].T @ z).astype(np.int64).reshape(n, g, n, g)
+            # every entry is an integer below 2^24, exact in int32
+            both = (onehot[:k].T @ z).astype(np.int32).reshape(n, g, n, g)
             counts[j, :, :g, :, :g] += both & (_PACK - 1)
             if k_next:
                 both >>= _PACK_BITS
@@ -259,7 +263,9 @@ def _onehot(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     k, n = rows.shape
     onehot = out[:k]
     # out is C-ordered, so the reshape is a view
-    np.equal(rows[:, :, None], np.arange(out.shape[1] // n), out=onehot.reshape(k, n, -1))
+    np.equal(
+        rows[:, :, None], np.arange(out.shape[1] // n, dtype=rows.dtype), out=onehot.reshape(k, n, -1)
+    )
     return onehot
 
 
@@ -310,12 +316,20 @@ def threshold(tensor: CETensor, lam: float) -> CETensor:
 
 
 def _joint_codes(pi: PatternMatrix, members, t_start: int, target: int) -> np.ndarray:
-    """Base-m! code of the conditioning symbols at each t, the target's last."""
+    """Base-m! code of the conditioning symbols at each t, the target's last.
+
+    The codes are below f^(members + 1) and held in the narrowest unsigned
+    type of that bound: uint8 up to 256 joint bins, uint16 up to 65,536,
+    then uint32, and uint64 only past the dense limit, where they are
+    counted by their distinct values.
+    """
     f, n_times = pi.n_patterns, pi.n_times
     digits = [pi.symbols[t_start - tau : n_times - tau, c] for c, tau in members]
     digits.append(pi.symbols[t_start:, target])
-    # the symbols are int64, so the first product is a new int64 array
-    codes = digits[0] * f
+    # The first product is a new array of the type that holds every code, so
+    # no step can wrap. Its dtype is named, not left to numpy's promotion of
+    # narrow symbols and a Python int, which differs before NEP 50 (numpy 1.x).
+    codes = np.multiply(digits[0], f, dtype=np.min_scalar_type(f ** len(digits) - 1))
     codes += digits[1]
     for digit in digits[2:]:
         codes *= f
@@ -346,8 +360,8 @@ def conditional_entropy_given_set(
             raise LagTooLarge(f"conditioning delay {tau} out of range")
     f = pi.n_patterns
     n_states = f ** len(cond)
-    # the joint code of the set and the target symbol is an int64 below
-    # n_states * f
+    # the joint code of the set and the target symbol is below n_states * f;
+    # codes are kept within int64's range, though _joint_codes holds them unsigned
     if n_states * f > 2**63:
         raise ConditioningTooLarge(
             f"{len(cond)} conditioning members over {f} patterns overflow int64 joint codes"

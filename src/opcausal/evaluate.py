@@ -124,8 +124,13 @@ class SweepCell:
 
 
 def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -> int:
-    """Seed derived from the cell's parameter values, stable under grid growth."""
-    key = repr((sorted(cell_params.items()), realization)).encode()
+    """Seed derived from the cell's parameter values, stable under grid growth.
+
+    A numpy scalar value hashes as the Python scalar it equals, so a grid
+    built with np.arange or np.linspace seeds the cells its list twin does.
+    """
+    plain = {k: v.item() if isinstance(v, np.generic) else v for k, v in cell_params.items()}
+    key = repr((sorted(plain.items()), realization)).encode()
     digest = hashlib.sha256(key).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 

@@ -40,6 +40,11 @@ class EmbeddingParams:
         return factorial(self.m)
 
     @property
+    def symbol_dtype(self) -> np.dtype:
+        """Narrowest type holding every symbol below m!: uint8 for m <= 5, uint16 up to 8."""
+        return np.min_scalar_type(self.n_patterns - 1)
+
+    @property
     def span(self) -> int:
         """Number of samples covered by one embedding vector minus one."""
         return (self.m - 1) * self.d
@@ -96,7 +101,12 @@ def decimate(series: MultivariateSeries, factor: int) -> MultivariateSeries:
 
 @dataclass
 class PatternMatrix:
-    """T' x N int64 ordinal symbol indices in [0, m! - 1], each channel contiguous."""
+    """T' x N ordinal symbol indices in [0, m! - 1], each channel contiguous.
+
+    The symbols are held as `params.symbol_dtype`, unsigned and as narrow as
+    m! allows, whatever integer type they arrive in. Arithmetic on them can
+    wrap in that type, so code computing with them casts them first.
+    """
 
     symbols: np.ndarray
     params: EmbeddingParams
@@ -106,7 +116,7 @@ class PatternMatrix:
         f = self.params.n_patterns
         if symbols.dtype.kind not in "iu" or np.any((symbols < 0) | (symbols >= f)):
             raise ValueError(f"symbols must be integers in [0, {f})")
-        self.symbols = np.asfortranarray(symbols, dtype=np.int64)
+        self.symbols = np.asfortranarray(symbols, dtype=self.params.symbol_dtype)
 
     @property
     def n_times(self) -> int:
@@ -151,7 +161,7 @@ _BLOCK_ROWS = 4096
 
 
 def _encode(data: np.ndarray, params: EmbeddingParams) -> np.ndarray:
-    """T' x N int64 Fortran symbols of the finite T x N samples in data.
+    """T' x N Fortran symbols of the finite T x N samples in data, as params.symbol_dtype.
 
     The symbol of a vector is the Lehmer code of its stable argsort:
     sum over components e of inv(e) * (m-1-rank(e))!, where inv(e) counts the
@@ -163,7 +173,7 @@ def _encode(data: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     m, d = params.m, params.d
     n_vectors = _n_vectors(data.shape[0], params)
     weights = np.array([factorial(m - 1 - r) for r in range(m)], dtype=np.int32)
-    out = np.empty((n_vectors, data.shape[1]), dtype=np.int64, order="F")
+    out = np.empty((n_vectors, data.shape[1]), dtype=params.symbol_dtype, order="F")
     for r0 in range(0, n_vectors, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n_vectors)
         x = [data[r0 + k * d : r1 + k * d] for k in range(m)]

@@ -13,11 +13,12 @@ import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteState, ParameterUnset, check, is_integer
+from .errors import NonFiniteState, ParameterUnset, _count, check, is_integer
 from .ordinal import MultivariateSeries
 
 
@@ -148,7 +149,7 @@ def simulate_ar(
         couplings = AR_COUPLINGS
     if n_channels is None:
         n_channels = AR_N_CHANNELS
-    if not (is_integer(n_channels) and n_channels >= 1):
+    if not _count(n_channels):
         raise ValueError(f"n_channels must be an integer >= 1, got {n_channels!r}")
     _check_ar_couplings(couplings, n_channels)
     check("lead_in", burn_in)
@@ -297,10 +298,11 @@ class NmmConfig:
         # each rule is a comparison that holds, so NaN breaks every rule
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
-        if not (isinstance(self.n_regions, int) and self.n_regions >= 1):
+        if not _count(self.n_regions):
             raise ValueError(f"n_regions must be an integer >= 1, got {self.n_regions!r}")
+        self.n_regions = int(self.n_regions)  # np.int64(3) becomes 3
         for name in ("h_e", "h_s", "h_f", "e0", "r", "sample_rate", "delay_ms"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")

@@ -166,6 +166,36 @@ class TestConditionalEntropyGivenSet:
         want = oracle_conditional_entropy_given_set(pi, 0, members, t_start)
         assert got == pytest.approx(want, abs=1e-12)
 
+    # the joint codes take the narrowest unsigned type below f^(members + 1);
+    # four symbols in use, 0, 1, f - 2 and f - 1, so joint states repeat and
+    # a run of f - 1 in every channel reaches the largest code
+    @pytest.mark.filterwarnings(
+        "ignore:only .* samples for .* joint conditioning states:RuntimeWarning"
+    )
+    @pytest.mark.parametrize(
+        "m, members, code_dtype",
+        [
+            (3, [(1, 1), (2, 2)], np.uint8),
+            (3, [(1, 1), (2, 2), (3, 3)], np.uint16),
+            (4, [(1, 1), (2, 2)], np.uint16),
+            (4, [(1, 1), (2, 2), (3, 3)], np.uint32),
+            (5, [(1, 1), (2, 2)], np.uint32),
+        ],
+    )
+    def test_matches_the_oracle_at_each_code_type(self, rng, m, members, code_dtype):
+        f = math.factorial(m)
+        symbols = rng.choice([0, 1, f - 2, f - 1], size=(2000, 4))
+        symbols[500:510] = f - 1
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+        t_start = max(tau for _, tau in members)
+        codes = entropy._joint_codes(pi, members, t_start, 0)
+        assert codes.dtype == code_dtype
+        assert codes.max() == f ** (len(members) + 1) - 1
+        got = conditional_entropy_given_set(pi, 0, ConditioningSet(members))
+        want = oracle_conditional_entropy_given_set(pi, 0, members, t_start)
+        assert want > 1.0
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_adding_member_never_increases_entropy(self, rng):
         symbols = rng.integers(0, 6, size=(3000, 3))
         pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
@@ -462,7 +492,7 @@ class TestCETensor:
         else:
             lags = [0, 2, block + 1, block + 2, n_times - 1]
         got = entropy._lagged_counts_by_product(pi, DelayGrid(lags))
-        assert got.dtype == np.int64 and got.shape == (len(lags), 4 * f, 4 * f)
+        assert got.dtype == np.int32 and got.shape == (len(lags), 4 * f, 4 * f)
         for j, tau in enumerate(lags):
             for src in range(4):
                 for tgt in range(4):
@@ -537,18 +567,35 @@ class TestSymbolRange:
         with pytest.raises(ValueError, match=r"symbols must be integers in \[0, 6\)"):
             PatternMatrix(symbols=np.zeros((10, 2)), params=EmbeddingParams(m=3, d=1))
 
-    def test_pattern_matrix_holds_int64_symbols(self, rng):
-        # uint64 symbols mixed with int64 codes would become floats
+    def test_pattern_matrix_holds_narrow_symbols(self, rng):
+        # uint64 symbols become the embedding's narrow type, as int64 ones do
         symbols = rng.integers(0, 24, size=(743, 3))
         params = EmbeddingParams(m=4, d=1)
         unsigned = PatternMatrix(symbols=symbols.astype(np.uint64), params=params)
-        assert unsigned.symbols.dtype == np.int64
+        assert unsigned.symbols.dtype == np.uint8
         assert unsigned.symbols.flags.f_contiguous
         delays = DelayGrid([1, 4])
         assert (
             ce_tensor(unsigned, delays).values.tobytes()
             == ce_tensor(PatternMatrix(symbols=symbols, params=params), delays).values.tobytes()
         )
+
+    @pytest.mark.parametrize("m, dtype", [(3, np.uint8), (6, np.uint16)])
+    def test_int64_symbols_become_the_narrow_type(self, rng, m, dtype):
+        symbols = rng.integers(0, math.factorial(m), size=(743, 2))
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+        assert pi.symbols.dtype == dtype and pi.symbols.flags.f_contiguous
+        np.testing.assert_array_equal(pi.symbols, symbols)
+
+    # each would wrap onto a valid symbol in the narrow type: 256 and -256
+    # to 0 in uint8, 65541 to 5 in uint16
+    @pytest.mark.parametrize("m, bad", [(3, 256), (3, -256), (6, 65_541)])
+    def test_symbols_that_the_narrow_type_would_wrap_are_rejected(self, rng, m, bad):
+        f = math.factorial(m)
+        symbols = rng.integers(0, f, size=(743, 2))
+        symbols[5, 1] = bad
+        with pytest.raises(ValueError, match=rf"symbols must be integers in \[0, {f}\)"):
+            PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
 
     # a bad symbol in either channel of a pair, in an int or a float matrix
     @pytest.mark.parametrize("side", [0, 1])

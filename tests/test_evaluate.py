@@ -112,6 +112,15 @@ class TestDeriveSeed:
         for i in range(20):
             assert derive_seed(0, {"x": i}, i) >= 0
 
+    def test_numpy_scalars_seed_as_the_python_values(self):
+        # a cell of Python scalars keeps the seed it had
+        plain = derive_seed(42, {"T": 300, "delta": 0.1}, 0)
+        assert plain == 2344426763173780324
+        assert derive_seed(42, {"T": np.int64(300), "delta": 0.1}, 0) == plain
+        assert derive_seed(42, {"T": 300, "delta": np.float64(0.1)}, 0) == plain
+        grid = [derive_seed(42, {"delta": d}, 0) for d in np.linspace(0.0, 0.2, 3)]
+        assert grid == [derive_seed(42, {"delta": d}, 0) for d in [0.0, 0.1, 0.2]]
+
 
 # (system, cell, seed) -> (TPR, FPR, F1), recorded before the per-system
 # dispatch became the SYSTEMS table; each system's settings must still apply.

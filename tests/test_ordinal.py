@@ -171,8 +171,16 @@ class TestBuildMoptn:
         params = EmbeddingParams(m=m, d=d)
         symbols = build_moptn(MultivariateSeries(data=data), params).symbols
         expected = np.stack([reference_symbols(data[:, n], params) for n in range(3)], axis=1)
-        assert symbols.dtype == np.int64 and symbols.flags.f_contiguous
+        assert symbols.dtype == (np.uint8 if m <= 5 else np.uint16) and symbols.flags.f_contiguous
         np.testing.assert_array_equal(symbols, expected)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_symbols_take_the_narrowest_type(self, rng, m):
+        dtype = np.uint8 if m <= 5 else np.uint16
+        params = EmbeddingParams(m=m, d=1)
+        assert params.symbol_dtype == dtype
+        pi = build_moptn(MultivariateSeries(data=rng.standard_normal((50, 2))), params)
+        assert pi.symbols.dtype == dtype
 
     @pytest.mark.parametrize("kind", ["rounded", "signed_zeros"])
     def test_oracle_inputs_hold_ties(self, rng, kind):
