@@ -360,8 +360,8 @@ def conditional_entropy_given_set(
             raise LagTooLarge(f"conditioning delay {tau} out of range")
     f = pi.n_patterns
     n_states = f ** len(cond)
-    # the joint code of the set and the target symbol is below n_states * f;
-    # codes are kept within int64's range, though _joint_codes holds them unsigned
+    # the joint code of the set and the target symbol is below n_states * f,
+    # which must stay within int64's range
     if n_states * f > 2**63:
         raise ConditioningTooLarge(
             f"{len(cond)} conditioning members over {f} patterns overflow int64 joint codes"
