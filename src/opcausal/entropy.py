@@ -138,17 +138,17 @@ def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
 
 
 # Largest alphabet for which ce_tensor counts by matrix product. The product
-# has a column for each of the f-1 symbols below the last, whose counts
-# follow from each window's symbol counts, so it costs (f-1)^2 multiply-adds
-# per sample and ordered pair for every two lags, against one joint-code
-# count per pair and lag in the loop, and its count matrices grow as
-# (N*f)^2. On a 2-core Xeon, random symbols, lags 1-10, T'=1e4 for N=9 and
-# 2e4 for N=36, in two runs of 3-7 calls each: at m=3 (f=6) the product
-# took 0.010-0.012 s against 0.023-0.034 s for N=9 and 0.11 s against
-# 0.68-0.83 s for N=36; at m=4 (f=24) 0.049-0.062 s against
-# 0.025-0.038 s for N=9 and 1.1 s against 0.75-0.85 s for N=36. At m=5
-# (f=120), counting one lag on all f symbols per product, it took 1.9 s
-# against 0.26 s for N=9.
+# has a row for each of the f-1 symbols below the last and a row of ones,
+# from which the last symbol's counts follow, so it costs about (f-1)^2
+# multiply-adds per sample and ordered pair for every two lags, against one
+# joint-code count per pair and lag in the loop, and its count matrices grow
+# as (N*f)^2. On a 2-core Xeon, random symbols, lags 1-10, T'=1e4 for N=9
+# and 2e4 for N=36, medians of two runs of 3-7 calls each: at m=3 (f=6) the
+# product took 0.0065-0.0074 s against 0.022-0.028 s for N=9 and
+# 0.068-0.084 s against 0.54-0.58 s for N=36; at m=4 (f=24) 0.040-0.042 s
+# against 0.025-0.033 s for N=9 and 0.73-0.74 s against 0.63-0.64 s for
+# N=36. At m=5 (f=120), counting one lag on all f symbols per product, it
+# took 1.9 s against 0.26 s for N=9.
 _PRODUCT_MAX_PATTERNS = 6
 
 # Rows per one-hot block; it must stay below _PACK. A product counts two
@@ -199,110 +199,95 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
     No count exceeds T', so the counts are int32 while T' < 2^31, and int64
     past that.
 
-    The products count the symbols a, b < f - 1. The counts of the last
-    symbol are what the window's symbol counts leave over: c[a, f-1] is
-    the source's count of a less the c[a, b] with b < f - 1, and c[f-1, b]
+    The products count the symbols a, b < f - 1, and by their row of ones
+    each channel's symbol counts over the lag's source and target rows. The
+    counts of the last symbol are what those leave over: c[a, f-1] is the
+    source's count of a less the c[a, b] with b < f - 1, and c[f-1, b]
     likewise from the target's count of b.
+    """
+    n = pi.n_channels
+    f = pi.n_patterns
+    g = f - 1
+    sums = _indicator_products(pi.symbols, delays.delays, g)
+    # the last symbol reads the ones, the count of every symbol, then takes
+    # the others' counts away
+    channel, symbol = np.divmod(np.arange(n * f), f)
+    index = np.where(symbol < g, channel * g + symbol, n * g)
+    counts = sums[:, index[:, None], index].reshape(len(delays), n, f, n, f)
+    counts[..., g] -= counts[..., :g].sum(axis=4)
+    counts[:, :, g] -= counts[:, :, :g].sum(axis=2)
+    return counts.reshape(len(delays), n * f, n * f)
+
+
+def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
+    """Indicator rows of the sources times those of the targets, summed per lag.
+
+    Returns a J x (N*g + 1) x (N*g + 1) array whose entry [j, m*g + a, n*g + b]
+    counts the t in [0, T' - tau_j) with channel m in symbol a < g at t and
+    channel n in symbol b < g at t + tau_j. Index N*g is the row of ones, so
+    the last column holds the source symbols' counts over rows [0, T' - tau_j),
+    the last row the target symbols' over rows [tau_j, T'), and the corner
+    T' - tau_j.
     """
     # a packed entry c_j + _PACK * c_(j+1) splits back only while c_j < _PACK
     if _ROW_BLOCK >= _PACK:
         raise RuntimeError(f"_ROW_BLOCK {_ROW_BLOCK} must stay below the packing factor {_PACK}")
-    n_times, n = pi.symbols.shape
-    f = pi.n_patterns
-    g = f - 1
-    lags = delays.delays
-    sources, targets = _window_symbol_counts(pi.symbols, lags, f)
+    n_times, n = symbols.shape
+    width = n * g + 1
     count_dtype = np.promote_types(np.int32, np.min_scalar_type(-n_times))
-    counts = np.zeros((len(lags), n, f, n, f), dtype=count_dtype)
+    sums = np.zeros((len(lags), width, width), dtype=count_dtype)
     # a block encodes its own rows plus those of the lags up to one block
     # ahead; a farther lag's target rows are encoded on their own, so a lag
     # near T' does not stretch every block over the rows in between
     near = max((tau for tau in lags if tau <= _ROW_BLOCK), default=0)
-    block = np.empty((_ROW_BLOCK + near, n * g), dtype=np.float32)
-    packed = np.empty((_ROW_BLOCK, n * g), dtype=np.float32)
+    block = np.empty((width, _ROW_BLOCK + near), dtype=np.float32)
+    packed = np.empty((width, _ROW_BLOCK), dtype=np.float32)
     for start in range(0, n_times - lags[0], _ROW_BLOCK):
-        onehot = _onehot(pi.symbols[start : start + _ROW_BLOCK + near], block)
+        onehot = _onehot(symbols[start : start + _ROW_BLOCK + near], block)
 
         def target(tau, k):
-            """One-hot rows t + tau of the block's first k rows t."""
+            """Indicator columns t + tau of the block's first k columns t."""
             if tau <= near:
-                return onehot[tau : tau + k]
-            rows = pi.symbols[start + tau : start + tau + k]
-            return _onehot(rows, np.empty((k, n * g), dtype=np.float32))
+                return onehot[:, tau : tau + k]
+            rows = symbols[start + tau : start + tau + k]
+            return _onehot(rows, np.empty((width, k), dtype=np.float32))
 
         for j in range(0, len(lags), 2):
             k = min(_ROW_BLOCK, n_times - lags[j] - start)
             if k <= 0:
                 break
-            # rows of the block in the next lag's window, past which its part
-            # of z stays 0; the last lag of an odd grid runs alone
+            # columns of the block in the next lag's window, past which its
+            # part of z stays 0; the last lag of an odd grid runs alone
             k_next = max(0, min(k, n_times - lags[j + 1] - start)) if j + 1 < len(lags) else 0
-            z = packed[:k]
+            z = packed[:, :k]
             if k_next:
-                np.multiply(target(lags[j + 1], k_next), _PACK, out=z[:k_next])
-            z[k_next:] = 0
+                np.multiply(target(lags[j + 1], k_next), _PACK, out=z[:, :k_next])
+            z[:, k_next:] = 0
             z += target(lags[j], k)
             # every entry is an integer below 2^24, exact in int32
-            both = (onehot[:k].T @ z).astype(np.int32).reshape(n, g, n, g)
-            counts[j, :, :g, :, :g] += both & (_PACK - 1)
+            both = (onehot[:, :k] @ z.T).astype(np.int32)
+            sums[j] += both & (_PACK - 1)
             if k_next:
                 both >>= _PACK_BITS
-                counts[j + 1, :, :g, :, :g] += both
-    for j, c in enumerate(counts):
-        c[:, g, :, :g] = targets[j, :, :g] - c[:, :g, :, :g].sum(axis=1)
-        c[:, :, :, g] = sources[j, :, :, None] - c[:, :, :, :g].sum(axis=3)
-    return counts.reshape(len(lags), n * f, n * f)
+                sums[j + 1] += both
+    return sums
 
 
 def _onehot(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """float32 indicators of a block of symbol rows, written into the first rows of out.
+    """Time-major float32 indicators of a block of symbol rows, in the first columns of out.
 
-    out has N*g columns: entry [t, n*g + a] is 1.0 where channel n shows
-    symbol a < g at row t, so the symbols g and up have no column.
+    out has N*g + 1 rows: entry [n*g + a, t] is 1.0 where channel n shows
+    symbol a < g at row t, so the symbols g and up have no row, and the last
+    row is all ones.
     """
     k, n = rows.shape
-    onehot = out[:k]
-    # out is C-ordered, so the reshape is a view
-    np.equal(
-        rows[:, :, None], np.arange(out.shape[1] // n, dtype=rows.dtype), out=onehot.reshape(k, n, -1)
-    )
+    onehot = out[:, :k]
+    g = (out.shape[0] - 1) // n
+    symbols = np.arange(g, dtype=rows.dtype)[:, None]
+    # splitting the first axis makes a view, so equal writes into out
+    np.equal(rows.T[:, None], symbols, out=onehot[:-1].reshape(n, g, k))
+    onehot[-1] = 1
     return onehot
-
-
-def _window_symbol_counts(symbols: np.ndarray, lags, f: int):
-    """Each channel's symbol counts over the source and the target rows of every lag.
-
-    Returns two J x N x f int64 arrays: the counts over rows [0, T' - tau_j),
-    then over rows [tau_j, T').
-    """
-    n_times, n = symbols.shape
-    every = _symbol_counts(symbols, 0, n_times, f)
-    first = np.zeros_like(every)
-    last = np.zeros_like(every)
-    sources = np.empty((len(lags), n, f), dtype=np.int64)
-    targets = np.empty_like(sources)
-    prev = 0
-    # every row less the last or the first tau rows, adding the rows
-    # between one lag and the next
-    for j, tau in enumerate(lags):
-        first += _symbol_counts(symbols, prev, tau, f)
-        last += _symbol_counts(symbols, n_times - tau, n_times - prev, f)
-        sources[j] = every - last
-        targets[j] = every - first
-        prev = tau
-    return sources, targets
-
-
-def _symbol_counts(symbols: np.ndarray, lo: int, hi: int, f: int) -> np.ndarray:
-    """N x f int64 counts of each channel's symbols over rows [lo, hi)."""
-    n = symbols.shape[1]
-    offsets = f * np.arange(n)
-    counts = np.zeros(n * f, dtype=np.int64)
-    # a row block at a time, so the codes never take more memory than a one-hot block
-    for start in range(lo, hi, _ROW_BLOCK):
-        codes = symbols[start : min(start + _ROW_BLOCK, hi)] + offsets
-        counts += np.bincount(codes.ravel(order="K"), minlength=n * f)
-    return counts.reshape(n, f)
 
 
 def threshold(tensor: CETensor, lam: float) -> CETensor:

@@ -126,13 +126,17 @@ class SweepCell:
 def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -> int:
     """Seed derived from the cell's parameter values, stable under grid growth.
 
-    A numpy scalar value hashes as the Python scalar it equals, so a grid
-    built with np.arange or np.linspace seeds the cells its list twin does.
+    A numpy scalar, as a cell value, base seed or realization, counts as the
+    Python scalar it equals, so a grid built with np.arange or np.linspace
+    seeds the cells its list twin does.
     """
-    plain = {k: v.item() if isinstance(v, np.generic) else v for k, v in cell_params.items()}
-    key = repr((sorted(plain.items()), realization)).encode()
+    def plain(v):
+        return v.item() if isinstance(v, np.generic) else v
+
+    cell = {k: plain(v) for k, v in cell_params.items()}
+    key = repr((sorted(cell.items()), plain(realization))).encode()
     digest = hashlib.sha256(key).digest()
-    return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
+    return (plain(base_seed) ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)

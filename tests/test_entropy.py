@@ -473,12 +473,13 @@ class TestCETensor:
 
     # the products count two lags at once on the symbols below f - 1: an even
     # and an odd grid, with lag 0 and lags past one row block, paired with a
-    # near lag, with each other and alone; T' just short of and just past two
-    # blocks; a channel that never shows the dropped symbol and one that
-    # shows nothing else
+    # near lag, with each other and alone, and a grid of far lags only, whose
+    # target blocks are each encoded on their own; T' just short of and just
+    # past two blocks; a channel that never shows the dropped symbol and one
+    # that shows nothing else
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("extra", [-1, 1])
-    @pytest.mark.parametrize("grid", ["even", "odd"])
+    @pytest.mark.parametrize("grid", ["even", "odd", "far"])
     def test_product_counts_equal_pairwise_bincounts(self, rng, m, extra, grid):
         f = math.factorial(m)
         block = entropy._ROW_BLOCK
@@ -489,8 +490,10 @@ class TestCETensor:
         pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
         if grid == "even":
             lags = [0, 1, 5, block + 3]
-        else:
+        elif grid == "odd":
             lags = [0, 2, block + 1, block + 2, n_times - 1]
+        else:
+            lags = [block + 1, block + 5]
         got = entropy._lagged_counts_by_product(pi, DelayGrid(lags))
         assert got.dtype == np.int32 and got.shape == (len(lags), 4 * f, 4 * f)
         for j, tau in enumerate(lags):

@@ -121,6 +121,16 @@ class TestDeriveSeed:
         grid = [derive_seed(42, {"delta": d}, 0) for d in np.linspace(0.0, 0.2, 3)]
         assert grid == [derive_seed(42, {"delta": d}, 0) for d in [0.0, 0.1, 0.2]]
 
+    def test_numpy_base_seed_and_realization_seed_as_the_python_values(self):
+        # the base seed once raised OverflowError, and the realization
+        # hashed as its numpy repr
+        assert derive_seed(np.int64(42), {"T": 300}, 0) == derive_seed(42, {"T": 300}, 0)
+        assert derive_seed(42, {"T": 300}, np.int64(0)) == 7445210204526906713
+        (numpy_cell,) = sweep("ar", {"T": [3000]}, 1, np.int64(42))
+        (plain_cell,) = sweep("ar", {"T": [3000]}, 1, 42)
+        assert numpy_cell.seeds == plain_cell.seeds
+        assert numpy_cell.stats == plain_cell.stats
+
 
 # (system, cell, seed) -> (TPR, FPR, F1), recorded before the per-system
 # dispatch became the SYSTEMS table; each system's settings must still apply.
