@@ -122,8 +122,7 @@ class TestDeriveSeed:
         assert grid == [derive_seed(42, {"delta": d}, 0) for d in [0.0, 0.1, 0.2]]
 
     def test_numpy_base_seed_and_realization_seed_as_the_python_values(self):
-        # the base seed once raised OverflowError, and the realization
-        # hashed as its numpy repr
+        # 7445210204526906713 is the seed of the plain realization 0
         assert derive_seed(np.int64(42), {"T": 300}, 0) == derive_seed(42, {"T": 300}, 0)
         assert derive_seed(42, {"T": 300}, np.int64(0)) == 7445210204526906713
         (numpy_cell,) = sweep("ar", {"T": [3000]}, 1, np.int64(42))

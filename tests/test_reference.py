@@ -3,9 +3,9 @@
 `reference_conditioning_set` follows `minimal_conditioning_set`'s docstring
 with sets and sorted tuples only; Hypothesis compares the two on small
 thresholded tensors whose CEs come from a few values, so that exact ties occur.
-`reference_evidence` builds a whole Evidence table from the symbols with
-dict counts and `math.log2`, and Hypothesis compares it with `evidence_table`
-on short series with planted couplings.
+`reference_candidates` and `reference_rows` build a whole Evidence table from
+the symbols with dict counts and `math.log2`, and Hypothesis compares it with
+`evidence_table` on short series with planted couplings.
 """
 
 from collections import Counter
