@@ -24,11 +24,10 @@ import numpy as np
 
 from opcausal import DelayGrid, EmbeddingParams, reproduction_nmm_config, simulate_nmm
 from opcausal.causal import evidence_table, lowest_ce_per_pair
-from opcausal.evaluate import run_realization
+from opcausal.evaluate import SYSTEMS, run_realization
 from opcausal.ordinal import decimate
 
 REPRODUCTION_SEEDS = (3, 29, 38)
-DECIMATION = 5
 
 
 def part1(cfg, args):
@@ -49,8 +48,9 @@ def part2(cfg, args):
     adj = np.zeros((8, 8))
     adj[4, 0] = adj[5, 0] = 1.0
     series, _ = simulate_nmm(cfg, 5.0, args.T, seed=0, adjacency=adj)
-    dec = decimate(series, DECIMATION)
-    table = evidence_table(dec, EmbeddingParams(3, 1), DelayGrid(range(2, 21)))
+    nmm = SYSTEMS["nmm"]
+    dec = decimate(series, nmm.decimate)
+    table = evidence_table(dec, EmbeddingParams(3, nmm.d), DelayGrid(nmm.delays(dec.sample_rate)))
     best = lowest_ce_per_pair(table.rows)
     rows = [(0, 4, "true"), (0, 5, "true"), (4, 5, "sibling"), (5, 4, "sibling"), (1, 2, "unrelated")]
     print(f"  {'pair':>10} {'kind':>10} {'best lag (ms)':>14} {'epsilon':>9}")

@@ -219,14 +219,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _number(cfg: dict, key: str) -> float:
-    """cfg[key] as a float; a bool, a string or null is an error."""
-    value = cfg[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise OpcausalError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _pipeline_inputs(args):
     """Merged config, series, embedding, delays and the pruning settings.
 
@@ -238,9 +230,9 @@ def _pipeline_inputs(args):
     cfg = _merge_config(args)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
     params = EmbeddingParams(m=whole("M", cfg["M"]), d=whole("d", cfg["d"]))
-    settings = {"lam": _number(cfg, "lambda"), "delta": _number(cfg, "delta")}
-    check("delta", settings["delta"])
-    check("lambda", settings["lam"])
+    check("delta", cfg["delta"])
+    check("lambda", cfg["lambda"])
+    settings = {"lam": float(cfg["lambda"]), "delta": float(cfg["delta"])}
     series = read_series_csv(args.input, sample_rate=args.sample_rate)
     return cfg, series, params, delays, settings
 
@@ -268,9 +260,8 @@ def cmd_simulate(args) -> int:
     if seed < 0:  # numpy's generators take only non-negative seeds
         raise OpcausalError(f"--seed must be non-negative, got {seed}")
     flags = {k: v for k, v in (("c", args.c), ("K", args.K)) if v is not None}
-    system = _system(args.system, flags, args.nmm_config)
+    system = _system(args.system, {**flags, "NL": args.noise_level}, args.nmm_config)
     cell = {**system.reads, "T": args.T, **flags}
-    check("NL", args.noise_level)
     series, truth = system.simulate(cell, seed, _nmm_config(args))
     series = add_observation_noise(series, args.noise_level, seed + 1)
     write_series_csv(series, out.with_suffix(".csv"))

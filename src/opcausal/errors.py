@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline, the integer checks and every setting's rule."""
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class OpcausalError(Exception):
@@ -77,16 +77,19 @@ def _count(value) -> bool:
     return is_integer(value) and value >= 1
 
 
+def _lead_in(value) -> bool:
+    """The rule of a lead-in, the samples a simulator discards before the first kept one."""
+    return is_integer(value) and value >= 0
+
+
 # setting -> (rule a good value obeys, message for a bad one); each rule is a
 # comparison that holds, so NaN breaks every rule
 SETTINGS = {
     "lambda": (lambda v: 0 < v <= 1, "lambda must be in (0, 1], got {}"),
     "delta": (lambda v: v >= 0, "delta must be non-negative, got {}"),
     "T": (_count, "need at least 1 sample, and T must be an integer, got {!r}"),
-    # the samples a simulator steps and discards before the first kept one
     "lead_in": (
-        lambda v: is_integer(v) and v >= 0,
-        "a lead-in (burn_in, transient_samples) must be an integer >= 0, got {!r}",
+        _lead_in, "a lead-in (burn_in, transient_samples) must be an integer >= 0, got {!r}"
     ),
     "NL": (lambda v: v >= 0, "noise level must be non-negative, got {}"),
     "K": (lambda v: 0 <= v <= 100, "connection density K must be in [0, 100] percent, got {}"),
@@ -105,8 +108,18 @@ SETTINGS = {
 }
 
 
+def number(name: str, value, error=ValueError) -> None:
+    """Raise error unless value is a real number: a bool, a string, None or np.True_ is not."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a number, got {value!r}")
+
+
 def check(name: str, value) -> None:
-    """Raise ValueError, InvalidLambda for lambda, unless `value` obeys SETTINGS[name]."""
+    """Raise ValueError (InvalidLambda for lambda) unless value is a number SETTINGS[name] takes."""
     holds, message = SETTINGS[name]
+    error = InvalidLambda if name == "lambda" else ValueError
+    # an integer row's own rule fails a bool, with a message that asks for an integer
+    if holds not in (_count, _lead_in) or not isinstance(value, bool):
+        number(name, value, error)
     if not holds(value):
-        raise (InvalidLambda if name == "lambda" else ValueError)(message.format(value))
+        raise error(message.format(value))

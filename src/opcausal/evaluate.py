@@ -209,13 +209,15 @@ SYSTEMS: dict[str, System] = {
 _PIPELINE_KEYS = {"NL", "lambda", "delta"}
 
 
-def _system(name: str, keys, nmm_config=None) -> System:
-    """SYSTEMS[name], after checking that it reads each cell key and the config."""
+def _system(name: str, cell: dict[str, Any], nmm_config=None) -> System:
+    """SYSTEMS[name], after checking that it reads each cell key and the config, and each value."""
     if name not in SYSTEMS:
         raise ValueError(f"unknown system {name!r}")
-    unread = sorted(set(keys) - _PIPELINE_KEYS - set(SYSTEMS[name].reads))
+    unread = sorted(set(cell) - _PIPELINE_KEYS - set(SYSTEMS[name].reads))
     if unread:
         raise ValueError(f"system {name!r} reads no cell key {', '.join(unread)}")
+    for key, value in cell.items():
+        check(key, value)
     if nmm_config is not None and not SYSTEMS[name].takes_nmm_config:
         raise ValueError(f"system {name!r} reads no neural-mass config")
     return SYSTEMS[name]
@@ -233,10 +235,8 @@ def simulate_realization(
     raises TruthOffGrid.
     """
     spec = _system(system, cell, nmm_config)
-    noise_level = float(cell.get("NL", 0.0))
-    check("NL", noise_level)
     series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
-    noisy = decimate(add_observation_noise(series, noise_level, seed + 1), spec.decimate)
+    noisy = decimate(add_observation_noise(series, cell.get("NL", 0.0), seed + 1), spec.decimate)
     truth = replace(
         truth,
         edges=[(s, tg, max(1, int(round(dl / spec.decimate)))) for s, tg, dl in truth.edges],
@@ -317,17 +317,15 @@ def sweep(
     max_workers: int = 1,
 ) -> list[SweepCell]:
     """Evaluate every cell of the cartesian product of the grid axes, in order."""
-    if not grid:
-        raise ValueError("sweep grid must be non-empty")
-    # an unread axis or a bad setting fails before any realization runs
-    _system(system, grid, nmm_config)
-    for key, values in grid.items():
-        for value in values:
-            check(key, value)
-    check("n_realizations", n_realizations)
-    check("max_workers", max_workers)
     axes = sorted(grid)
     cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
+    if not grid or not cells:  # no axis, or an axis with no values
+        raise ValueError("sweep grid must be non-empty")
+    # an unread axis or a bad setting fails before any realization runs
+    for cell in cells:
+        _system(system, cell, nmm_config)
+    check("n_realizations", n_realizations)
+    check("max_workers", max_workers)
     tasks = [(system, c, n_realizations, base_seed, nmm_config) for c in cells]
     if max_workers > 1:
         # imported here: the pool stack costs about 20 ms and 2 MB, and nothing else uses it

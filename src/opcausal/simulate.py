@@ -13,12 +13,11 @@ import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteState, ParameterUnset, _count, check, is_integer
+from .errors import NonFiniteState, ParameterUnset, _count, check, is_integer, number
 from .ordinal import MultivariateSeries
 
 
@@ -297,9 +296,7 @@ class NmmConfig:
     def __post_init__(self):
         # each rule is a comparison that holds, so NaN breaks every rule
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            number(f.name, getattr(self, f.name))
         if not _count(self.n_regions):
             raise ValueError(f"n_regions must be an integer >= 1, got {self.n_regions!r}")
         self.n_regions = int(self.n_regions)  # np.int64(3) becomes 3

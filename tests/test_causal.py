@@ -164,6 +164,20 @@ class TestPipeline:
         with pytest.raises(InvalidLambda):
             infer_network(series, EmbeddingParams(m=3, d=1), DelayGrid([1, 2]), lam=1.5)
 
+    @pytest.mark.parametrize("setting", ["lam", "delta"])
+    def test_setting_that_is_no_number_is_rejected_before_any_symbol_is_encoded(
+        self, monkeypatch, setting
+    ):
+        series = MultivariateSeries(data=np.random.default_rng(0).standard_normal((3000, 3)))
+        monkeypatch.setattr(causal, "build_moptn", None)  # encoding fails
+        error = InvalidLambda if setting == "lam" else ValueError
+        name = "lambda" if setting == "lam" else setting
+        for value in [True, None, "0.1"]:
+            with pytest.raises(error, match=f"^{name} must be a number, got {value!r}$"):
+                infer_network(
+                    series, EmbeddingParams(m=3, d=1), DelayGrid([1, 2]), **{setting: value}
+                )
+
     def test_chain_recovered_and_indirect_pruned(self):
         couplings = {(0, 1, 2): 1.5, (1, 2, 3): 1.5}
         series, truth = simulate_ar(10_000, seed=5, couplings=couplings, n_channels=3)

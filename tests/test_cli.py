@@ -285,6 +285,16 @@ class TestCommands:
         assert manifest["seed"] == 5
         assert "seed: 5" in capsys.readouterr().out
 
+    def test_simulate_writes_what_simulate_realization_draws(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["simulate", "--system", "ar", "--T", "3000", "--seed", "5", "--noise-level", "0.2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        series, truth, _ = evaluate.simulate_realization("ar", {"T": 3000, "NL": 0.2}, 5)
+        # the CSV round-trips at 17 digits and ar decimates by 1: equal bit for bit
+        assert read_series_csv(out.with_suffix(".csv")).data.tobytes() == series.data.tobytes()
+        edges = json.loads(out.with_suffix(".truth.json").read_text())["edges"]
+        assert [(e["source"], e["target"], e["delay_samples"]) for e in edges] == truth.edges
+
     def test_infer_on_simulated_series(self, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--system", "ar", "--T", "4000", "--seed", "1", "--out", str(out)])

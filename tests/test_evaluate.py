@@ -176,8 +176,25 @@ class TestRunRealization:
             raise AssertionError("simulated before checking the noise level")
 
         monkeypatch.setitem(SYSTEMS, "ar", replace(SYSTEMS["ar"], simulate=refuse))
-        with pytest.raises(ValueError, match=r"^noise level must be non-negative, got -1.0$"):
+        with pytest.raises(ValueError, match=r"^noise level must be non-negative, got -1$"):
             run_realization("ar", {"T": 300, "NL": -1}, seed=0)
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            ({"delta": "0.1"}, "delta must be a number, got '0.1'"),
+            ({"lambda": True}, "lambda must be a number, got True"),
+            ({"NL": None}, "NL must be a number, got None"),
+        ],
+        ids=["delta", "lambda", "NL"],
+    )
+    def test_setting_that_is_no_number_fails_before_simulating(self, monkeypatch, cell, message):
+        def refuse(*args):
+            raise AssertionError("simulated before checking the settings")
+
+        monkeypatch.setitem(SYSTEMS, "ar", replace(SYSTEMS["ar"], simulate=refuse))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_realization("ar", {"T": 300, **cell}, seed=0)
 
     def test_truth_off_the_grid_fails_before_inference(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -294,6 +311,21 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep("ar", {}, n_realizations=1, base_seed=0)
+
+    @pytest.mark.parametrize("key", ["T", "K"])
+    def test_axis_with_no_values_rejected(self, key):
+        # with no cell, a per-cell check would let an axis the system ignores pass
+        with pytest.raises(ValueError, match="sweep grid must be non-empty"):
+            sweep("ar", {key: []}, n_realizations=1, base_seed=0)
+
+    @pytest.mark.parametrize("key", ["delta", "lambda"])
+    def test_setting_that_is_no_number_fails_before_any_realization(self, monkeypatch, key):
+        def run_cell(args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(evaluate, "_run_cell", run_cell)
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got True$"):
+            sweep("ar", {key: [True]}, 1, 0)
 
     def test_cell_seeds_stable_under_grid_growth(self):
         small = sweep("ar", {"delta": [0.15], "T": [4000]}, 1, base_seed=3)

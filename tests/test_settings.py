@@ -1,8 +1,10 @@
 """Every rule of errors.SETTINGS: NaN and a value past a bound fail with the
-row's message, and a value on an inclusive bound passes."""
+row's message, a value on an inclusive bound passes, and a value that is not
+a real number fails every row as such."""
 
 from math import inf, nan, nextafter
 
+import numpy as np
 import pytest
 
 from opcausal.errors import SETTINGS, InvalidLambda, check
@@ -39,3 +41,16 @@ def test_check_enforces_the_row(name):
         assert (info.type is InvalidLambda) == (name == "lambda")
     for value in on:
         check(name, value)
+
+
+# the rows whose rule asks for an integer, and so names a bool with the row's message
+INTEGER_ROWS = {"T", "lead_in", "n_realizations", "max_workers"}
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_check_rejects_what_is_not_a_real_number(name):
+    for value in [None, "1", np.True_, *([] if name in INTEGER_ROWS else [True, False])]:
+        with pytest.raises(ValueError) as info:
+            check(name, value)
+        assert str(info.value) == f"{name} must be a number, got {value!r}"
+        assert (info.type is InvalidLambda) == (name == "lambda")
