@@ -3,9 +3,10 @@
 `reference_conditioning_set` follows `minimal_conditioning_set`'s docstring
 with sets and sorted tuples only; Hypothesis compares the two on small
 thresholded tensors whose CEs come from a few values, so that exact ties occur.
-`reference_candidates` and `reference_rows` build a whole Evidence table from
-the symbols with dict counts and `math.log2`, and Hypothesis compares it with
-`evidence_table` on short series with planted couplings.
+`reference_ces`, `reference_candidates` and `reference_rows` build a whole
+Evidence table from the symbols with dict counts and `math.log2`, and
+Hypothesis compares it with `evidence_table` on short series with planted
+couplings.
 """
 
 from collections import Counter
@@ -13,7 +14,7 @@ from math import factorial, log2
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcausal import (
@@ -21,6 +22,7 @@ from opcausal import (
     EmbeddingParams,
     MultivariateSeries,
     build_moptn,
+    ce_tensor,
     evidence_table,
     minimal_conditioning_set,
 )
@@ -29,6 +31,9 @@ from opcausal.entropy import CETensor
 H_MAX = log2(6)  # m = 3
 CES = (0.5, 1.0, 1.5)
 GRIDS = ((1, 2, 3), (2, 5), (1, 4, 6, 9), (0,), (0, 1, 2), (0, 3, 4))
+# at m=2 its CE of channel 0 given channel 1 at lag 2 is 1 bit, the cut at
+# lambda 1: the table's sum gives 1.0 and the reference's 1 - 2^-53
+ON_THE_CUT = MultivariateSeries(data=np.random.default_rng(121).standard_normal((51, 2)))
 
 
 def reference_conditioning_set(values, delays, m, n, size, h_max=H_MAX):
@@ -113,16 +118,20 @@ def reference_entropy(columns, target, members, t_start):
     return -sum(c / total * log2(c / state[p]) for (p, _), c in joint.items())
 
 
-def reference_candidates(columns, f, delays, lam):
-    """{(target, source, delay): CE} of the pairwise lagged CEs below lam * log2(f)."""
+def reference_ces(columns, delays):
+    """{(target, source, delay): CE} of every pairwise lagged CE."""
     n = len(columns)
-    ces = {
+    return {
         (t, s, tau): reference_entropy(columns, t, [(s, tau)], tau)
         for t in range(n)
         for s in range(n)
         for tau in delays
         if s != t
     }
+
+
+def reference_candidates(ces, f, lam):
+    """The entries of ces below lam * log2(f)."""
     return {key: ce for key, ce in ces.items() if ce < lam * log2(f)}
 
 
@@ -173,16 +182,22 @@ def coupled_series(draw):
 @pytest.mark.filterwarnings("ignore:only .* samples for .* joint conditioning states")
 @settings(max_examples=150, deadline=None)
 @given(coupled_series())
+@example((ON_THE_CUT, 2, (1, 2, 3), 1.0))
 def test_evidence_table_matches_the_reference(drawn):
     series, m, delays, lam = drawn
     params = EmbeddingParams(m=m, d=1)
     table = evidence_table(series, params, DelayGrid(delays), lam)
-    columns = [col.tolist() for col in build_moptn(series, params).symbols.T]
-    want = reference_candidates(columns, factorial(m), delays, lam)
-    got = {(r.target, r.source, r.delay): r.ce for r in table.rows}
-    assert got.keys() == want.keys()
+    pi = build_moptn(series, params)
+    columns = [col.tolist() for col in pi.symbols.T]
+    want = reference_ces(columns, delays)
+    values = ce_tensor(pi, DelayGrid(delays)).values
+    own = {(t, s, tau): values[t, s, delays.index(tau)] for t, s, tau in want}
     for key, ce in want.items():
-        assert got[key] == pytest.approx(ce, abs=1e-12), key
+        assert own[key] == pytest.approx(ce, abs=1e-12), key
+    # a CE on the cut can round to either side of it in either sum, so the
+    # cut, like the set rule below, reads the table's own CEs
+    got = {(r.target, r.source, r.delay): r.ce for r in table.rows}
+    assert got == reference_candidates(own, factorial(m), lam)
     # the set rule ranks members by exact CE, and two CEs that agree to
     # 1e-12, say on count tables that are permutations of each other, can
     # round apart in either sum; so the sets rank the table's own CEs
