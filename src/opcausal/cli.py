@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
-from .errors import OpcausalError, check, whole
+from .errors import OpcausalError, check
 from .evaluate import SYSTEMS, _system, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
 from .simulate import GroundTruth, NmmConfig, add_observation_noise
@@ -229,7 +229,9 @@ def _pipeline_inputs(args):
         check("sample_rate", args.sample_rate)
     cfg = _merge_config(args)
     delays = parse_delays(str(cfg["delays"]), args.sample_rate, args.delays_in_ms)
-    params = EmbeddingParams(m=whole("M", cfg["M"]), d=whole("d", cfg["d"]))
+    # a config file may write M or d as a whole float, such as 3.0
+    params = EmbeddingParams(*(int(v) if isinstance(v, float) and v.is_integer() else v
+                               for v in (cfg["M"], cfg["d"])))
     check("delta", cfg["delta"])
     check("lambda", cfg["lambda"])
     settings = {"lam": float(cfg["lambda"]), "delta": float(cfg["delta"])}

@@ -91,6 +91,11 @@ SETTINGS = {
     "lead_in": (
         _lead_in, "a lead-in (burn_in, transient_samples) must be an integer >= 0, got {!r}"
     ),
+    "M": (  # up to 8, the m! symbols fit in a uint16
+        lambda v: is_integer(v) and 2 <= v <= 8,
+        "embedding dimension must be an integer in [2, 8], got {!r}",
+    ),
+    "d": (_count, "embedding delay must be an integer >= 1, got {!r}"),
     "NL": (lambda v: v >= 0, "noise level must be non-negative, got {}"),
     "K": (lambda v: 0 <= v <= 100, "connection density K must be in [0, 100] percent, got {}"),
     "c": (lambda v: v >= 0, "coupling strength must be non-negative"),
@@ -118,8 +123,8 @@ def check(name: str, value) -> None:
     """Raise ValueError (InvalidLambda for lambda) unless value is a number SETTINGS[name] takes."""
     holds, message = SETTINGS[name]
     error = InvalidLambda if name == "lambda" else ValueError
-    # an integer row's own rule fails a bool, with a message that asks for an integer
-    if holds not in (_count, _lead_in) or not isinstance(value, bool):
+    # an integer row's own rule fails a bool, with its message that asks for an integer
+    if "integer" not in message or not isinstance(value, bool):
         number(name, value, error)
     if not holds(value):
         raise error(message.format(value))

@@ -4,10 +4,11 @@ Inferred networks are scored against ground truth either delay-sensitively
 (an edge at the wrong lag counts as one false positive plus one false
 negative) or by pair identity alone. The sweep harness runs seeded
 realizations through simulate -> noise -> infer -> score and aggregates
-TPR/FPR/F1 per grid cell; seeds are derived from the cell's parameter
-values, so enlarging a grid never changes existing cells. `SYSTEMS` is the
-one place that knows each benchmark system: its simulator and the fixed
-settings the pipeline runs it with.
+TPR/FPR/F1 per grid cell. Seeds are derived from the cell's data keys, all
+but lambda and delta, so enlarging a grid never changes existing cells, and
+cells that differ only in lambda or delta share each realization. `SYSTEMS`
+is the one place that knows each benchmark system: its simulator and the
+fixed settings the pipeline runs it with.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .causal import CausalNetwork, infer_network
+from .causal import CausalNetwork, evidence_table, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
 from .errors import ChannelMismatch, DegenerateSample, TruthOffGrid, WindowTooShort, check
 from .ordinal import EmbeddingParams, MultivariateSeries, decimate
@@ -205,8 +206,10 @@ SYSTEMS: dict[str, System] = {
     ),
 }
 
+# the cell keys that choose how a realization's evidence is read, not what is simulated
+_VIEW_KEYS = {"lambda", "delta"}
 # the cell keys run_realization reads for every system
-_PIPELINE_KEYS = {"NL", "lambda", "delta"}
+_PIPELINE_KEYS = {"NL", *_VIEW_KEYS}
 
 
 def _system(name: str, cell: dict[str, Any], nmm_config=None) -> System:
@@ -251,6 +254,20 @@ def simulate_realization(
     return noisy, truth, delays
 
 
+def _realizations(system, cells, seed, nmm_config) -> list[Metrics]:
+    """One simulation of the cells' data keys, scored at each cell's lambda and delta."""
+    series, truth, delays = simulate_realization(system, cells[0], seed, nmm_config)
+    spec = SYSTEMS[system]
+    tables, results = {}, []
+    for cell in cells:
+        lam = float(cell.get("lambda", DEFAULT_LAMBDA))
+        if lam not in tables:
+            tables[lam] = evidence_table(series, EmbeddingParams(m=3, d=spec.d), delays, lam)
+        net = tables[lam].network(float(cell.get("delta", DEFAULT_DELTA)), spec.one_delay_per_pair)
+        results.append(metrics(score(net, truth, series.n_channels, delays, spec.delay_sensitive)))
+    return results
+
+
 def run_realization(
     system: str,
     cell: dict[str, Any],
@@ -264,18 +281,7 @@ def run_realization(
     m = 3. For "nmm", a `nmm_config` of None means the reproduction
     configuration. Any other cell key, or a config for another system, raises ValueError.
     """
-    series, truth, delays = simulate_realization(system, cell, seed, nmm_config)
-    spec = SYSTEMS[system]
-    network = infer_network(
-        series,
-        EmbeddingParams(m=3, d=spec.d),
-        delays,
-        lam=float(cell.get("lambda", DEFAULT_LAMBDA)),
-        delta=float(cell.get("delta", DEFAULT_DELTA)),
-        one_delay_per_pair=spec.one_delay_per_pair,
-    )
-    counts = score(network, truth, series.n_channels, delays, spec.delay_sensitive)
-    return metrics(counts)
+    return _realizations(system, [cell], seed, nmm_config)[0]
 
 
 def _stats(results: list[Metrics]) -> dict[str, float | None]:
@@ -289,23 +295,24 @@ def _stats(results: list[Metrics]) -> dict[str, float | None]:
     return stats
 
 
-def _run_cell(args) -> SweepCell:
-    system, cell_params, n_realizations, base_seed, nmm_config = args
-    seeds = [derive_seed(base_seed, cell_params, i) for i in range(n_realizations)]
-    results: list[Metrics] = []
+def _data_keys(cell: dict[str, Any]) -> dict[str, Any]:
+    """The cell without lambda and delta: what its realizations simulate, and their seeds' key."""
+    return {k: v for k, v in cell.items() if k not in _VIEW_KEYS}
+
+
+def _run_cell(args) -> list[SweepCell]:
+    """The SweepCells of one data cell's cells, which share every realization."""
+    system, cells, n_realizations, base_seed, nmm_config = args
+    seeds = [derive_seed(base_seed, _data_keys(cells[0]), i) for i in range(n_realizations)]
+    results: list[list[Metrics]] = []
     errors: list[str] = []
     for s in seeds:
         try:
-            results.append(run_realization(system, cell_params, s, nmm_config))
-        except Exception as exc:  # recorded, not fatal, per cell contract
+            results.append(_realizations(system, cells, s, nmm_config))
+        except Exception as exc:  # recorded in every cell the realization feeds, not fatal
             errors.append(f"seed {s}: {exc}")
-    return SweepCell(
-        params=dict(cell_params),
-        n_realizations=len(results),
-        seeds=seeds,
-        stats=_stats(results),
-        errors=errors,
-    )
+    return [SweepCell(dict(cell), len(results), list(seeds), _stats([r[i] for r in results]),
+                      list(errors)) for i, cell in enumerate(cells)]
 
 
 def sweep(
@@ -326,14 +333,17 @@ def sweep(
         _system(system, cell, nmm_config)
     check("n_realizations", n_realizations)
     check("max_workers", max_workers)
-    tasks = [(system, c, n_realizations, base_seed, nmm_config) for c in cells]
+    # the view keys (delta, lambda) sort after every data key (K, NL, T, c), so the
+    # cells of one data cell are adjacent in grid order and one task runs them all
+    tasks = [(system, list(group), n_realizations, base_seed, nmm_config)
+             for _, group in itertools.groupby(cells, key=_data_keys)]
     if max_workers > 1:
         # imported here: the pool stack costs about 20 ms and 2 MB, and nothing else uses it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_cell, tasks))
-    return [_run_cell(t) for t in tasks]
+            return list(itertools.chain.from_iterable(pool.map(_run_cell, tasks)))
+    return list(itertools.chain.from_iterable(map(_run_cell, tasks)))
 
 
 def windowed_analysis(

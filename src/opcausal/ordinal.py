@@ -13,27 +13,20 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NonFiniteValue, SeriesTooShort, check, is_integer, whole
-
-MAX_EMBEDDING_DIM = 8
+from .errors import NonFiniteValue, SeriesTooShort, check, whole
 
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """Integer embedding dimension `m` (>=2) and delay `d` (>=1, in samples)."""
+    """Embedding dimension `m` and delay `d` (in samples), integers under the rules M and d."""
 
     m: int
     d: int
 
     def __post_init__(self):
-        for attr, name in (("m", "embedding dimension"), ("d", "embedding delay")):
-            if not is_integer(getattr(self, attr)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, attr)!r}")
+        for attr, name in (("m", "M"), ("d", "d")):
+            check(name, getattr(self, attr))
             object.__setattr__(self, attr, int(getattr(self, attr)))  # np.int64(3) becomes 3
-        if not (2 <= self.m <= MAX_EMBEDDING_DIM):
-            raise ValueError(f"embedding dimension must be in [2, {MAX_EMBEDDING_DIM}], got {self.m}")
-        if self.d < 1:
-            raise ValueError(f"embedding delay must be >= 1, got {self.d}")
 
     @property
     def n_patterns(self) -> int:

@@ -25,9 +25,9 @@ from opcausal.evaluate import (
     SYSTEMS,
     derive_seed,
     metrics,
-    run_realization,
     score,
     simulate_realization,
+    sweep,
 )
 from opcausal.ordinal import PatternMatrix
 
@@ -39,14 +39,21 @@ def announce(name, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
 
-def test_criterion_1_ar_recovery():
+@pytest.fixture(scope="module")
+def ar_delta_sweep():
+    """{delta: (mean TPR, mean FPR)} of the nine-channel AR benchmark, T=1e4, one sweep.
+
+    The three delta cells share their R realizations: each is simulated and
+    pruned once, and read at every delta.
+    """
+    cells = sweep("ar", {"T": [10_000], "delta": [0.05, 0.10, 0.15], "NL": [0.0]}, R, BASE_SEED)
+    assert all(c.n_realizations == R for c in cells), [c.errors for c in cells]
+    return {c.params["delta"]: (c.stats["tpr_mean"], c.stats["fpr_mean"]) for c in cells}
+
+
+def test_criterion_1_ar_recovery(ar_delta_sweep):
     """Nine-channel AR benchmark at delta=0.15: mean TPR >= 0.95, FPR <= 0.02."""
-    cell = {"T": 10_000, "delta": 0.15, "NL": 0.0}
-    results = [
-        run_realization("ar", cell, derive_seed(BASE_SEED, cell, i)) for i in range(R)
-    ]
-    tpr = float(np.mean([m.tpr for m in results]))
-    fpr = float(np.mean([m.fpr for m in results]))
+    tpr, fpr = ar_delta_sweep[0.15]
     ok = tpr >= 0.95 and fpr <= 0.02
     announce(
         "criterion 1 (AR recovery)",
@@ -56,18 +63,11 @@ def test_criterion_1_ar_recovery():
     assert ok
 
 
-def test_criterion_2_ar_delta_sweep_shape():
+def test_criterion_2_ar_delta_sweep_shape(ar_delta_sweep):
     """TPR >= 0.95 for delta in {0.05, 0.10, 0.15}; FPR <= 0.02 for delta >= 0.10."""
     summary = []
     ok = True
-    for delta in (0.05, 0.10, 0.15):
-        cell = {"T": 10_000, "delta": delta, "NL": 0.0}
-        results = [
-            run_realization("ar", cell, derive_seed(BASE_SEED, cell, i))
-            for i in range(R)
-        ]
-        tpr = float(np.mean([m.tpr for m in results]))
-        fpr = float(np.mean([m.fpr for m in results]))
+    for delta, (tpr, fpr) in ar_delta_sweep.items():
         if tpr < 0.95:
             ok = False
         if delta >= 0.10 and fpr > 0.02:

@@ -378,10 +378,10 @@ class TestCommands:
     @pytest.mark.parametrize(
         "content, message",
         [
-            ({"d": 2.5}, "d must be an integer, got 2.5"),
-            ({"M": 3.9}, "M must be an integer, got 3.9"),
-            ({"M": True}, "M must be an integer, got True"),
-            ({"d": "100"}, "d must be an integer, got '100'"),
+            ({"d": 2.5}, "embedding delay must be an integer >= 1, got 2.5"),
+            ({"M": 3.9}, "embedding dimension must be an integer in [2, 8], got 3.9"),
+            ({"M": True}, "embedding dimension must be an integer in [2, 8], got True"),
+            ({"d": "100"}, "d must be a number, got '100'"),
         ],
     )
     @pytest.mark.parametrize("command", ["infer", "windowed"])
@@ -537,8 +537,8 @@ class TestCommands:
             (command, flag, value, message)
             for command in ("infer", "windowed")
             for flag, value, message in [
-                ("--M", "9", "embedding dimension must be in [2, 8], got 9"),
-                ("--d", "0", "embedding delay must be >= 1, got 0"),
+                ("--M", "9", "embedding dimension must be an integer in [2, 8], got 9"),
+                ("--d", "0", "embedding delay must be an integer >= 1, got 0"),
                 ("--delays", "5-1", "delay grid must be non-empty"),
                 (
                     "--delays",

@@ -17,7 +17,7 @@ from opcausal import (
     windowed_analysis,
 )
 from opcausal import evaluate
-from opcausal.causal import CausalNetwork, Edge
+from opcausal.causal import CausalNetwork, Edge, evidence_table
 from opcausal.errors import ChannelMismatch, DegenerateSample, TruthOffGrid, WindowTooShort
 from opcausal.evaluate import SYSTEMS, ConfusionCounts, derive_seed, run_realization
 from opcausal.simulate import (
@@ -200,7 +200,7 @@ class TestRunRealization:
         def refuse(*args, **kwargs):
             raise AssertionError("inferred before checking the truth's delays")
 
-        monkeypatch.setattr(evaluate, "infer_network", refuse)
+        monkeypatch.setattr(evaluate, "evidence_table", refuse)
         # 300 ms is 60 samples after decimation by 5, against the grid 2-20
         cfg = replace(reproduction_nmm_config(), delay_ms=300.0)
         message = (
@@ -269,11 +269,38 @@ class TestSweep:
             assert not cell.errors
 
     def test_process_pool_gives_the_serial_cells(self):
-        grid = {"delta": [0.1, 0.15], "T": [1000]}
+        # two data cells, so the pool runs two tasks
+        grid = {"delta": [0.1, 0.15], "T": [1000, 1200]}
         pooled = sweep("ar", grid, 2, 7, max_workers=2)
         serial = sweep("ar", grid, 2, 7)
         assert pooled == serial
         assert all(cell.n_realizations == 2 for cell in pooled)
+
+    def test_cells_that_differ_in_lambda_or_delta_share_each_realization(self, monkeypatch):
+        simulated, tables = [], []
+        ar = SYSTEMS["ar"]
+
+        def simulate(cell, seed, nmm_config):
+            simulated.append(seed)
+            return ar.simulate(cell, seed, nmm_config)
+
+        def table(*args, **kwargs):
+            tables.append(args)
+            return evidence_table(*args, **kwargs)
+
+        monkeypatch.setitem(SYSTEMS, "ar", replace(ar, simulate=simulate))
+        monkeypatch.setattr(evaluate, "evidence_table", table)
+        grid = {"lambda": [0.99, 0.995], "T": [1000, 1200], "delta": [0.1, 0.15]}
+        cells = sweep("ar", grid, 3, base_seed=5)
+        # one simulation per realization of each T, one table per realization and lambda
+        assert (len(simulated), len(tables)) == (6, 12)
+        assert [c.params for c in cells] == [
+            {"T": T, "delta": delta, "lambda": lam}
+            for T in (1000, 1200) for delta in (0.1, 0.15) for lam in (0.99, 0.995)
+        ]
+        for cell in cells:
+            results = [run_realization("ar", cell.params, s) for s in cell.seeds]
+            assert cell.stats == evaluate._stats(results)
 
     def test_axis_the_system_ignores_fails_before_any_realization(self, monkeypatch):
         def run_cell(args):

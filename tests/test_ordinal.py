@@ -234,11 +234,11 @@ class TestParams:
     @pytest.mark.parametrize(
         "m, d, message",
         [
-            (3.5, 1, "embedding dimension must be an integer, got 3.5"),
-            (3.0, 1, "embedding dimension must be an integer, got 3.0"),
-            (3, 1.5, "embedding delay must be an integer, got 1.5"),
-            (3, True, "embedding delay must be an integer, got True"),
-            (3, "2", "embedding delay must be an integer, got '2'"),
+            (3.5, 1, "embedding dimension must be an integer in [2, 8], got 3.5"),
+            (3.0, 1, "embedding dimension must be an integer in [2, 8], got 3.0"),
+            (3, 1.5, "embedding delay must be an integer >= 1, got 1.5"),
+            (3, True, "embedding delay must be an integer >= 1, got True"),
+            (3, "2", "d must be a number, got '2'"),
         ],
     )
     def test_rejects_a_value_that_is_not_an_integer(self, m, d, message):

@@ -15,6 +15,8 @@ BOUNDS = {
     "delta": ([nextafter(0.0, -1.0)], [0.0]),
     "T": ([0, 2.0, 1.5, True], [1]),
     "lead_in": ([-1, 2.0, True], [0]),
+    "M": ([1, 9, 3.0, True], [2, 8]),
+    "d": ([0, 2.0, 1.5, True], [1]),
     "NL": ([nextafter(0.0, -1.0)], [0.0]),
     "K": ([nextafter(0.0, -1.0), nextafter(100.0, 200.0)], [0.0, 100.0]),
     "c": ([nextafter(0.0, -1.0)], [0.0]),
@@ -44,7 +46,7 @@ def test_check_enforces_the_row(name):
 
 
 # the rows whose rule asks for an integer, and so names a bool with the row's message
-INTEGER_ROWS = {"T", "lead_in", "n_realizations", "max_workers"}
+INTEGER_ROWS = {"T", "lead_in", "M", "d", "n_realizations", "max_workers"}
 
 
 @pytest.mark.parametrize("name", list(SETTINGS))
