@@ -152,7 +152,7 @@ def candidate_tensor(
     """
     check("lambda", lam)
     pi = build_moptn(series, params)
-    constant = np.flatnonzero((pi.symbols == pi.symbols[0]).all(axis=0))
+    constant = np.flatnonzero(pi.symbols.min(axis=0) == pi.symbols.max(axis=0))
     if constant.size:
         names = ", ".join(f"{n} ({series.channel_names[n]})" for n in constant)
         raise DegenerateSample(f"channel(s) {names} hold a single ordinal pattern")

@@ -151,7 +151,7 @@ def _conditional_entropy_from_counts(counts: np.ndarray, total: int):
 # took 1.9 s against 0.26 s for N=9.
 _PRODUCT_MAX_PATTERNS = 6
 
-# Rows per one-hot block; it must stay below _PACK. A product counts two
+# Most rows per one-hot block; it must stay below _PACK. A product counts two
 # lags at once: its right operand is onehot(tau_j) + _PACK * onehot(tau_(j+1)),
 # so each entry is c_j + _PACK * c_(j+1) with both counts at most _ROW_BLOCK.
 # Every term and partial sum is then an integer at most
@@ -160,6 +160,16 @@ _PRODUCT_MAX_PATTERNS = 6
 _ROW_BLOCK = 2048
 _PACK_BITS = 12
 _PACK = 1 << _PACK_BITS
+
+# About the bytes of the two float32 block buffers, indicators and packed targets, of
+# (N*(f-1) + 1) rows each: a wide input takes fewer samples per block, about
+# 1035 at N=36 and m=3, while N <= 18 at m=3 keeps _ROW_BLOCK.
+_BLOCK_BYTES = 1_500_000
+
+
+def _block_rows(width: int) -> int:
+    """Samples per one-hot block of `width` indicator rows."""
+    return min(_ROW_BLOCK, _BLOCK_BYTES // (2 * 4 * width))
 
 
 def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
@@ -175,12 +185,9 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
         )
     values = np.full((n, n, len(delays)), h_max, dtype=float)
     if f <= _PRODUCT_MAX_PATTERNS:
-        # counts[j, src, a, tgt, b]: samples with channel src in symbol a at t
-        # and channel tgt in symbol b at t + tau_j
-        counts = _lagged_counts_by_product(pi, delays).reshape(len(delays), n, f, n, f)
         tgt, src = np.nonzero(~np.eye(n, dtype=bool))
-        for j, tau in enumerate(delays):
-            pair_counts = counts[j].transpose(2, 0, 1, 3)[tgt, src]
+        lag_counts = _lagged_pair_counts(pi, delays, src, tgt)
+        for j, (tau, pair_counts) in enumerate(zip(delays, lag_counts)):
             values[tgt, src, j] = _conditional_entropy_from_counts(pair_counts, pi.n_times - tau)
         return CETensor(values=values, delays=delays, n_patterns=f)
     for j, tau in enumerate(delays):
@@ -190,12 +197,13 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
     return CETensor(values=values, delays=delays, n_patterns=f)
 
 
-def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarray:
-    """Lagged joint counts of every ordered channel pair, two lags per product.
+def _lagged_pair_counts(pi: PatternMatrix, delays: DelayGrid, src, tgt):
+    """Lagged joint counts of the channel pairs (src[p], tgt[p]), one lag at a time.
 
-    Returns a J x N*f x N*f array whose entry [j, m*f + a, n*f + b]
-    counts the t with channel m in symbol a at t and channel n in symbol b
-    at t + tau_j, over t in [0, T' - tau_j), as the pair's joint codes count them.
+    Yields for each lag tau_j a P x f x f array whose entry [p, a, b] counts
+    the t with channel src[p] in symbol a at t and channel tgt[p] in symbol b
+    at t + tau_j, over t in [0, T' - tau_j), as the pair's joint codes count
+    them. Only one lag's counts exist at a time, beside every lag's products.
     No count exceeds T', so the counts are int32 while T' < 2^31, and int64
     past that.
 
@@ -206,17 +214,22 @@ def _lagged_counts_by_product(pi: PatternMatrix, delays: DelayGrid) -> np.ndarra
     likewise from the target's count of b.
     """
     n = pi.n_channels
-    f = pi.n_patterns
-    g = f - 1
+    g = pi.n_patterns - 1
     sums = _indicator_products(pi.symbols, delays.delays, g)
-    # the last symbol reads the ones, the count of every symbol, then takes
-    # the others' counts away
-    channel, symbol = np.divmod(np.arange(n * f), f)
-    index = np.where(symbol < g, channel * g + symbol, n * g)
-    counts = sums[:, index[:, None], index].reshape(len(delays), n, f, n, f)
-    counts[..., g] -= counts[..., :g].sum(axis=4)
-    counts[:, :, g] -= counts[:, :, :g].sum(axis=2)
-    return counts.reshape(len(delays), n * f, n * f)
+    # each pair's f x f cells in one lag's products; the last symbol reads
+    # the ones, the count of every symbol, and then takes the others' away,
+    # one slice at a time, as a sum over a short axis is slower
+    symbol = np.arange(g + 1)
+    rows = np.where(symbol < g, src[:, None] * g + symbol, n * g)
+    cols = np.where(symbol < g, tgt[:, None] * g + symbol, n * g)
+    index = rows[:, :, None] * sums.shape[-1] + cols[:, None]
+    for lag_sums in sums:
+        counts = lag_sums.take(index)
+        for b in range(g):
+            counts[..., g] -= counts[..., b]
+        for a in range(g):
+            counts[:, g] -= counts[:, a]
+        yield counts
 
 
 def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
@@ -234,16 +247,17 @@ def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
         raise RuntimeError(f"_ROW_BLOCK {_ROW_BLOCK} must stay below the packing factor {_PACK}")
     n_times, n = symbols.shape
     width = n * g + 1
+    size = _block_rows(width)
     count_dtype = np.promote_types(np.int32, np.min_scalar_type(-n_times))
     sums = np.zeros((len(lags), width, width), dtype=count_dtype)
     # a block encodes its own rows plus those of the lags up to one block
     # ahead; a farther lag's target rows are encoded on their own, so a lag
     # near T' does not stretch every block over the rows in between
-    near = max((tau for tau in lags if tau <= _ROW_BLOCK), default=0)
-    block = np.empty((width, _ROW_BLOCK + near), dtype=np.float32)
-    packed = np.empty((width, _ROW_BLOCK), dtype=np.float32)
-    for start in range(0, n_times - lags[0], _ROW_BLOCK):
-        onehot = _onehot(symbols[start : start + _ROW_BLOCK + near], block)
+    near = max((tau for tau in lags if tau <= size), default=0)
+    block = np.empty((width, size + near), dtype=np.float32)
+    packed = np.empty((width, size), dtype=np.float32)
+    for start in range(0, n_times - lags[0], size):
+        onehot = _onehot(symbols[start : start + size + near], block)
 
         def target(tau, k):
             """Indicator columns t + tau of the block's first k columns t."""
@@ -253,7 +267,7 @@ def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
             return _onehot(rows, np.empty((width, k), dtype=np.float32))
 
         for j in range(0, len(lags), 2):
-            k = min(_ROW_BLOCK, n_times - lags[j] - start)
+            k = min(size, n_times - lags[j] - start)
             if k <= 0:
                 break
             # columns of the block in the next lag's window, past which its

@@ -13,7 +13,6 @@ fixed settings the pipeline runs it with.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -131,6 +130,9 @@ def derive_seed(base_seed: int, cell_params: dict[str, Any], realization: int) -
     Python scalar it equals, so a grid built with np.arange or np.linspace
     seeds the cells its list twin does.
     """
+    # imported here: hashlib maps OpenSSL's libcrypto, about 3.6 MB, and only seeds use it
+    import hashlib
+
     def plain(v):
         return v.item() if isinstance(v, np.generic) else v
 

@@ -107,7 +107,10 @@ class PatternMatrix:
     def __post_init__(self):
         symbols = np.asarray(self.symbols)
         f = self.params.n_patterns
-        if symbols.dtype.kind not in "iu" or np.any((symbols < 0) | (symbols >= f)):
+        # an empty matrix has no symbol out of range, and no min or max
+        if symbols.dtype.kind not in "iu" or (
+            symbols.size and (symbols.min() < 0 or symbols.max() >= f)
+        ):
             raise ValueError(f"symbols must be integers in [0, {f})")
         self.symbols = np.asfortranarray(symbols, dtype=self.params.symbol_dtype)
 

@@ -830,10 +830,12 @@ class TestCommands:
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     # every command but `sweep --threads N` with N > 1 starts without the
-    # pool stack (multiprocessing, socket, subprocess, selectors)
+    # pool stack (multiprocessing, socket, subprocess, selectors), and every
+    # command that derives no seed without hashlib and its OpenSSL library
     code = (
         "import sys, opcausal.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'hashlib')"
+        " if m in sys.modules])"
     )
     paths = [str(Path(opcausal.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

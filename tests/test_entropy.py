@@ -476,33 +476,37 @@ class TestCETensor:
     # near lag, with each other and alone, and a grid of far lags only, whose
     # target blocks are each encoded on their own; T' just short of and just
     # past two blocks; a channel that never shows the dropped symbol and one
-    # that shows nothing else
+    # that shows nothing else; and the odd grid on 19 channels, whose 96
+    # indicator rows at m=3 cut the block below _ROW_BLOCK samples. Every
+    # ordered pair is counted, a channel with itself too.
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("extra", [-1, 1])
-    @pytest.mark.parametrize("grid", ["even", "odd", "far"])
+    @pytest.mark.parametrize("grid", ["even", "odd", "far", "wide"])
     def test_product_counts_equal_pairwise_bincounts(self, rng, m, extra, grid):
         f = math.factorial(m)
-        block = entropy._ROW_BLOCK
+        n = 19 if grid == "wide" else 4
+        block = entropy._block_rows(n * (f - 1) + 1)
+        # of these widths, only the wide grid's at m=3 cuts the block
+        assert (block < entropy._ROW_BLOCK) == (grid == "wide" and m == 3)
         n_times = 2 * block + extra
-        symbols = rng.integers(0, f, size=(n_times, 4))
+        symbols = rng.integers(0, f, size=(n_times, n))
         symbols[:, 1] = rng.integers(0, f - 1, size=n_times)
         symbols[:, 2] = f - 1
         pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
         if grid == "even":
             lags = [0, 1, 5, block + 3]
-        elif grid == "odd":
-            lags = [0, 2, block + 1, block + 2, n_times - 1]
-        else:
+        elif grid == "far":
             lags = [block + 1, block + 5]
-        got = entropy._lagged_counts_by_product(pi, DelayGrid(lags))
-        assert got.dtype == np.int32 and got.shape == (len(lags), 4 * f, 4 * f)
-        for j, tau in enumerate(lags):
-            for src in range(4):
-                for tgt in range(4):
-                    codes = symbols[: n_times - tau, src] * f + symbols[tau:, tgt]
-                    want = np.bincount(codes, minlength=f * f).reshape(f, f)
-                    cell = got[j, src * f : (src + 1) * f, tgt * f : (tgt + 1) * f]
-                    np.testing.assert_array_equal(cell, want)
+        else:
+            lags = [0, 2, block + 1, block + 2, n_times - 1]
+        src, tgt = np.divmod(np.arange(n * n), n)
+        lag_counts = entropy._lagged_pair_counts(pi, DelayGrid(lags), src, tgt)
+        for tau, got in zip(lags, lag_counts, strict=True):
+            assert got.dtype == np.int32 and got.shape == (n * n, f, f)
+            for p in range(n * n):
+                codes = symbols[: n_times - tau, src[p]] * f + symbols[tau:, tgt[p]]
+                want = np.bincount(codes, minlength=f * f).reshape(f, f)
+                np.testing.assert_array_equal(got[p], want)
 
     def test_row_block_must_stay_below_the_packing_factor(self, rng, monkeypatch):
         # a block of _PACK rows could count _PACK, which overflows into the packed second lag
@@ -511,14 +515,16 @@ class TestCETensor:
             symbols=rng.integers(0, 6, size=(100, 2)), params=EmbeddingParams(m=3, d=1)
         )
         with pytest.raises(RuntimeError, match="must stay below the packing factor"):
-            entropy._lagged_counts_by_product(pi, DelayGrid([1, 2]))
+            ce_tensor(pi, DelayGrid([1, 2]))
 
     def test_wide_tensor_peak_memory_stays_at_the_per_lag_products(self, rng):
         # 36 channels at m=3, T' about 2e4 and the CLI's lags 1-10, the shape
-        # of one wide_infer item. Time-major indicator rows plus a row of ones,
-        # two lags per product, peak at 4,781,836-4,782,508 traced bytes over
-        # seven rng seeds (numpy 2.4.6); the bound keeps the 4.8% margin the
-        # earlier bound had over its design (7,838,480 over 7,479,648)
+        # of one wide_infer item. Every lag's products, one lag's counts and
+        # block buffers sized by the width (1035 samples) peak at
+        # 3,336,092-3,336,772 traced bytes over seven rng seeds (numpy
+        # 2.4.6); the bound keeps the 4.8% margin the earlier bounds had
+        # over their designs (7,838,480 over 7,479,648, then 5,011,947 over
+        # 4,782,508 with all lags' counts and 2048-sample blocks)
         pi = PatternMatrix(
             symbols=rng.integers(0, 6, size=(19_998, 36)), params=EmbeddingParams(m=3, d=1)
         )
@@ -528,7 +534,7 @@ class TestCETensor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5_011_947
+        assert peak <= 3_496_852
 
     def test_order_7_counts_sparse_pairs_in_little_memory(self, rng):
         # 5040^2 joint bins per pair: a dense count would hold 203 MB of
@@ -565,6 +571,21 @@ class TestSymbolRange:
         symbols[5, 1] = bad
         with pytest.raises(ValueError, match=rf"symbols must be integers in \[0, {f}\)"):
             PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+
+    # the range check reads min() and max() in the input's own type
+    @pytest.mark.parametrize("dtype", np.typecodes["AllInteger"])
+    def test_every_integer_type_is_range_checked(self, rng, dtype):
+        symbols = rng.integers(0, 6, size=(743, 2)).astype(dtype)
+        bad = [6, 127] + ([-1] if np.dtype(dtype).kind == "i" else [])
+        for value in bad:
+            symbols[5, 1] = value
+            with pytest.raises(ValueError, match=r"symbols must be integers in \[0, 6\)"):
+                PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
+
+    def test_empty_integer_matrix_builds(self):
+        symbols = np.zeros((0, 2), dtype=np.int64)
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
+        assert pi.symbols.shape == (0, 2) and pi.symbols.dtype == np.uint8
 
     def test_pattern_matrix_rejects_non_integer_symbols(self):
         with pytest.raises(ValueError, match=r"symbols must be integers in \[0, 6\)"):

@@ -231,15 +231,17 @@ class TestParams:
         with pytest.raises(ValueError):
             EmbeddingParams(m=3, d=0)
 
+    NOT_INTEGERS = [
+        (3.5, 1, "embedding dimension must be an integer in [2, 8], got 3.5"),
+        (3.0, 1, "embedding dimension must be an integer in [2, 8], got 3.0"),
+        (3, 1.5, "embedding delay must be an integer >= 1, got 1.5"),
+        (3, True, "embedding delay must be an integer >= 1, got True"),
+        (3, "2", "d must be a number, got '2'"),
+    ]
+
+    # each id names the inputs alone, so rewording a message renames no test
     @pytest.mark.parametrize(
-        "m, d, message",
-        [
-            (3.5, 1, "embedding dimension must be an integer in [2, 8], got 3.5"),
-            (3.0, 1, "embedding dimension must be an integer in [2, 8], got 3.0"),
-            (3, 1.5, "embedding delay must be an integer >= 1, got 1.5"),
-            (3, True, "embedding delay must be an integer >= 1, got True"),
-            (3, "2", "d must be a number, got '2'"),
-        ],
+        "m, d, message", NOT_INTEGERS, ids=[f"{m!r}-{d!r}" for m, d, _ in NOT_INTEGERS]
     )
     def test_rejects_a_value_that_is_not_an_integer(self, m, d, message):
         # a float m or d would otherwise build and fail later in the encoder
