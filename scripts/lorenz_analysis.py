@@ -22,11 +22,13 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from opcausal import DelayGrid, EmbeddingParams, simulate_lorenz_chain
+from opcausal import DelayGrid, simulate_lorenz_chain
 from opcausal.causal import evidence_table, lowest_ce_per_pair
+from opcausal.evaluate import SYSTEMS
 from opcausal.ordinal import decimate
 
 PAIRS = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]
@@ -58,8 +60,9 @@ def main() -> int:
     args = parser.parse_args()
 
     grid = DelayGrid(range(1, 11))
-    step_params = EmbeddingParams(m=3, d=100)
-    sub_params = EmbeddingParams(m=3, d=3)
+    # the pipeline's embedding for the chain, and the same at d=3 for subsampled series
+    step_params = SYSTEMS["lorenz"].params
+    sub_params = replace(step_params, d=3)
 
     for c, label in ((0.6, "coupled chain (c=0.6)"), (0.0, "independent control (c=0)")):
         step_tables = []

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from opcausal import DelayGrid, EmbeddingParams, reproduction_nmm_config, simulate_nmm
+from opcausal import DelayGrid, reproduction_nmm_config, simulate_nmm
 from opcausal.causal import evidence_table, lowest_ce_per_pair
 from opcausal.evaluate import SYSTEMS, run_realization
 from opcausal.ordinal import decimate
@@ -50,7 +50,7 @@ def part2(cfg, args):
     series, _ = simulate_nmm(cfg, 5.0, args.T, seed=0, adjacency=adj)
     nmm = SYSTEMS["nmm"]
     dec = decimate(series, nmm.decimate)
-    table = evidence_table(dec, EmbeddingParams(3, nmm.d), DelayGrid(nmm.delays(dec.sample_rate)))
+    table = evidence_table(dec, nmm.params, DelayGrid(nmm.delays(dec.sample_rate)))
     best = lowest_ce_per_pair(table.rows)
     rows = [(0, 4, "true"), (0, 5, "true"), (4, 5, "sibling"), (5, 4, "sibling"), (1, 2, "unrelated")]
     print(f"  {'pair':>10} {'kind':>10} {'best lag (ms)':>14} {'epsilon':>9}")

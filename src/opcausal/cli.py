@@ -25,9 +25,9 @@ from . import __version__
 from .causal import CausalNetwork, infer_network
 from .entropy import DEFAULT_DELTA, DEFAULT_LAMBDA, DelayGrid
 from .errors import OpcausalError, check
-from .evaluate import SYSTEMS, _system, sweep, windowed_analysis
+from .evaluate import SYSTEMS, observe, sweep, windowed_analysis
 from .ordinal import EmbeddingParams, MultivariateSeries
-from .simulate import GroundTruth, NmmConfig, add_observation_noise
+from .simulate import GroundTruth, NmmConfig
 
 DEFAULTS = {
     "M": 3,
@@ -261,11 +261,12 @@ def cmd_simulate(args) -> int:
     seed = args.seed
     if seed < 0:  # numpy's generators take only non-negative seeds
         raise OpcausalError(f"--seed must be non-negative, got {seed}")
+    nmm_config = _nmm_config(args)
     flags = {k: v for k, v in (("c", args.c), ("K", args.K)) if v is not None}
-    system = _system(args.system, {**flags, "NL": args.noise_level}, args.nmm_config)
-    cell = {**system.reads, "T": args.T, **flags}
-    series, truth = system.simulate(cell, seed, _nmm_config(args))
-    series = add_observation_noise(series, args.noise_level, seed + 1)
+    # T last: a bad --c, --K or --noise-level is named before a bad --T
+    series, truth = observe(args.system, {**flags, "NL": args.noise_level, "T": args.T},
+                            seed, nmm_config)
+    cell = {**SYSTEMS[args.system].reads, "T": args.T, **flags}
     write_series_csv(series, out.with_suffix(".csv"))
     write_truth_json(truth, out.with_suffix(".truth.json"))
     write_manifest(

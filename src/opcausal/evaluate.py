@@ -148,8 +148,9 @@ class System:
 
     `simulate(cell, seed, nmm_config)` reads the cell keys in `reads`, which
     holds their defaults, and reads nmm_config only if `takes_nmm_config`;
-    `delays(fs)` is the delay grid at the sample rate left after decimation.
-    The rest are the pipeline's settings for the system.
+    `delays(fs)` is the delay grid at the sample rate left after decimation,
+    and `params` the embedding the pipeline reads it with. The rest are the
+    pipeline's settings for the system.
     """
 
     reads: dict[str, float]
@@ -158,7 +159,7 @@ class System:
     ]
     delays: Callable[[float | None], range]
     decimate: int
-    d: int
+    params: EmbeddingParams
     delay_sensitive: bool
     one_delay_per_pair: bool
     takes_nmm_config: bool = False
@@ -178,7 +179,7 @@ SYSTEMS: dict[str, System] = {
         simulate=lambda cell, seed, _: simulate_ar(cell["T"], seed),
         delays=_first_ten_samples,
         decimate=1,
-        d=100,
+        params=EmbeddingParams(3, 100),
         delay_sensitive=True,
         one_delay_per_pair=False,
     ),
@@ -187,7 +188,7 @@ SYSTEMS: dict[str, System] = {
         simulate=lambda cell, seed, _: simulate_lorenz_chain(cell["T"], float(cell["c"]), seed),
         delays=_first_ten_samples,
         decimate=1,
-        d=100,
+        params=EmbeddingParams(3, 100),
         delay_sensitive=False,
         one_delay_per_pair=False,
     ),
@@ -201,7 +202,7 @@ SYSTEMS: dict[str, System] = {
         ),
         delays=_ten_to_hundred_ms,
         decimate=5,
-        d=1,
+        params=EmbeddingParams(3, 1),
         delay_sensitive=True,
         one_delay_per_pair=True,
         takes_nmm_config=True,
@@ -228,6 +229,25 @@ def _system(name: str, cell: dict[str, Any], nmm_config=None) -> System:
     return SYSTEMS[name]
 
 
+def observe(
+    system: str,
+    cell: dict[str, Any],
+    seed: int,
+    nmm_config: NmmConfig | None = None,
+) -> tuple[MultivariateSeries, GroundTruth]:
+    """simulate -> observation noise: the series and truth of one cell and seed, undecimated.
+
+    A cell key the system does not read, a bad value or a config for a system
+    other than "nmm" raises ValueError before anything is drawn. The keys the
+    cell leaves out take the system's `reads` defaults. The simulator draws
+    from seed, and the observation noise (the cell's NL, default 0) from the
+    next seed.
+    """
+    spec = _system(system, cell, nmm_config)
+    series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
+    return add_observation_noise(series, cell.get("NL", 0.0), seed + 1), truth
+
+
 def simulate_realization(
     system: str,
     cell: dict[str, Any],
@@ -239,9 +259,9 @@ def simulate_realization(
     A truth delay off a delay-sensitive system's grid, where no edge can match it,
     raises TruthOffGrid.
     """
-    spec = _system(system, cell, nmm_config)
-    series, truth = spec.simulate({**spec.reads, **cell}, seed, nmm_config)
-    noisy = decimate(add_observation_noise(series, cell.get("NL", 0.0), seed + 1), spec.decimate)
+    series, truth = observe(system, cell, seed, nmm_config)
+    spec = SYSTEMS[system]
+    noisy = decimate(series, spec.decimate)
     truth = replace(
         truth,
         edges=[(s, tg, max(1, int(round(dl / spec.decimate)))) for s, tg, dl in truth.edges],
@@ -264,7 +284,7 @@ def _realizations(system, cells, seed, nmm_config) -> list[Metrics]:
     for cell in cells:
         lam = float(cell.get("lambda", DEFAULT_LAMBDA))
         if lam not in tables:
-            tables[lam] = evidence_table(series, EmbeddingParams(m=3, d=spec.d), delays, lam)
+            tables[lam] = evidence_table(series, spec.params, delays, lam)
         net = tables[lam].network(float(cell.get("delta", DEFAULT_DELTA)), spec.one_delay_per_pair)
         results.append(metrics(score(net, truth, series.n_channels, delays, spec.delay_sensitive)))
     return results
@@ -279,8 +299,8 @@ def run_realization(
     """simulate -> observation noise -> infer -> score for a single seed.
 
     The cell sets the simulator's keys and NL, lambda and delta; the
-    decimation, delay grid, d and one_delay_per_pair come from SYSTEMS, with
-    m = 3. For "nmm", a `nmm_config` of None means the reproduction
+    decimation, delay grid, embedding and one_delay_per_pair come from
+    SYSTEMS. For "nmm", a `nmm_config` of None means the reproduction
     configuration. Any other cell key, or a config for another system, raises ValueError.
     """
     return _realizations(system, [cell], seed, nmm_config)[0]

@@ -249,11 +249,11 @@ def simulate_lorenz_chain(
         x3 += w * (a7 + 2 * b7 + 2 * g7 + e7)
         y3 += w * (a8 + 2 * b8 + 2 * g8 + e8)
         z3 += w * (a9 + 2 * b9 + 2 * g9 + e9)
-        if i >= 0:  # past the transient: record, and stop on divergence
+        if i >= 0:  # past the transient: record
             out[i] = x1, x2, x3
-            if not (abs(x1) < 1e6):
-                raise NonFiniteState("Lorenz integration diverged")
-    if not np.all(np.isfinite(out)):
+    # x1 is the uncoupled driver, so only a large c diverges, in x2 and x3;
+    # NaN propagates through both reductions and an infinity is one of them
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise NonFiniteState("Lorenz integration produced non-finite values")
     truth = GroundTruth(
         edges=[(0, 1, 1), (1, 2, 1)],

@@ -23,10 +23,10 @@ from opcausal import (
 )
 from opcausal.evaluate import (
     SYSTEMS,
+    _realizations,
     derive_seed,
     metrics,
     score,
-    simulate_realization,
     sweep,
 )
 from opcausal.ordinal import PatternMatrix
@@ -249,19 +249,13 @@ def test_criterion_7_neural_mass_network():
     reproduces and quantifies that limitation.
     """
     cfg = reproduction_nmm_config()
-    nmm = SYSTEMS["nmm"]
     seeds = (3, 29, 38)
     deltas = (0.08, 0.10, 0.12)
-    cell = {"T": 50_000, "lambda": 0.995, "K": 5.0}
+    cells = [{"T": 50_000, "lambda": 0.995, "K": 5.0, "delta": delta} for delta in deltas]
     table = {delta: [] for delta in deltas}
     for s in seeds:
-        # run_realization("nmm", {**cell, "delta": delta}, s, cfg) for every
-        # delta, step by step, to simulate and prune each seed once
-        series, truth, grid = simulate_realization("nmm", cell, s, cfg)
-        evidence = evidence_table(series, EmbeddingParams(3, nmm.d), grid, lam=cell["lambda"])
-        for delta in deltas:
-            net = evidence.network(delta, nmm.one_delay_per_pair)
-            m = metrics(score(net, truth, series.n_channels, grid, nmm.delay_sensitive))
+        # the sweep's step: one simulation and one evidence table per seed, read at every delta
+        for delta, m in zip(deltas, _realizations("nmm", cells, s, cfg)):
             table[delta].append((m.tpr, m.fpr))
     perfect = [d for d, v in table.items() if all(t == 1.0 and f == 0.0 for t, f in v)]
     perfect_delta = perfect[-1] if perfect else None

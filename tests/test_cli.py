@@ -315,6 +315,16 @@ class TestCommands:
         pairs = {(e["source"], e["target"]) for e in payload["edges"]}
         assert (1, 0) in pairs
 
+    def test_infer_with_a_sample_rate_writes_each_delay_in_ms(self, tmp_path):
+        out = tmp_path / "run"
+        main(["simulate", "--system", "ar", "--T", "4000", "--seed", "1", "--out", str(out)])
+        net = tmp_path / "net.json"
+        argv = ["infer", "--input", str(out.with_suffix(".csv")), "--out", str(net)]
+        assert main([*argv, "--delta", "0.15", "--sample-rate", "250"]) == 0
+        edges = json.loads(net.read_text())["edges"]
+        assert edges
+        assert [e["delay_ms"] for e in edges] == [4.0 * e["delay_samples"] for e in edges]
+
     def test_infer_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0.5, "d": 1}))
@@ -692,6 +702,19 @@ class TestCommands:
         bad.write_text(json.dumps({**config, "noise_var": -1.0}))
         argv = ["sweep", "--system", "nmm", "--T", "300", "--R", "2", "--nmm-config", str(bad)]
         assert main([*argv, "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == "error: noise_var must be non-negative, got -1.0\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_bad_nmm_config_is_named_before_the_system_it_is_for(
+        self, tmp_path, capsys, command
+    ):
+        # both commands load the file before they pair it with the system
+        config = json.loads(NMM_CONFIG.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config, "noise_var": -1.0}))
+        argv = [command, "--system", "ar", "--T", "300", "--nmm-config", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "error: noise_var must be non-negative, got -1.0\n"
         assert list(tmp_path.iterdir()) == [bad]
 

@@ -22,6 +22,7 @@ from opcausal.errors import ChannelMismatch, DegenerateSample, TruthOffGrid, Win
 from opcausal.evaluate import SYSTEMS, ConfusionCounts, derive_seed, run_realization
 from opcausal.simulate import (
     GroundTruth,
+    add_observation_noise,
     reproduction_nmm_config,
     simulate_ar,
     simulate_lorenz_chain,
@@ -68,6 +69,12 @@ class TestScore:
         truth = GroundTruth(edges=[(0, 1, 1)])
         with pytest.raises(ChannelMismatch):
             score(net, truth, 3, DelayGrid([1]))
+
+    def test_truth_channel_out_of_range(self):
+        truth = GroundTruth(edges=[(0, 1, 1), (1, 3, 1)])
+        message = "^ground-truth channel out of range for 3 channels$"
+        with pytest.raises(ChannelMismatch, match=message):
+            score(network_of([]), truth, 3, DelayGrid([1]))
 
 
 class TestMetrics:
@@ -240,6 +247,13 @@ class TestSystems:
         assert got.data.tobytes() == want.data.tobytes()
         assert got.sample_rate == want.sample_rate
         assert got_truth.edges == want_truth.edges
+
+    def test_observe_adds_noise_drawn_from_the_next_seed(self):
+        got, got_truth = evaluate.observe("ar", {"T": 300, "NL": 0.2}, 7)
+        series, truth = simulate_ar(300, 7)
+        want = add_observation_noise(series, 0.2, 8)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_truth.edges == truth.edges
 
     def test_nmm_takes_a_given_config(self):
         cfg = replace(reproduction_nmm_config(), n_regions=3)

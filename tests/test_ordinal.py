@@ -111,6 +111,10 @@ class TestEmbed:
         params = EmbeddingParams(m=3, d=3)
         assert embed(np.arange(7.0), params).shape == (1, 3)
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="^embed expects a one-dimensional series$"):
+            embed(np.zeros((20, 2)), EmbeddingParams(m=3, d=1))
+
     @given(
         st.integers(2, 5),
         st.integers(1, 10),
@@ -261,6 +265,15 @@ class TestParams:
         # so build_moptn always reaches embed, which names a short series
         with pytest.raises(ValueError, match="at least one column"):
             MultivariateSeries(data=np.zeros((10, 0)))
+
+    def test_series_data_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="^series data must be a T x N matrix$"):
+            MultivariateSeries(data=np.zeros((10, 2, 2)))
+
+    def test_series_needs_a_name_per_column(self):
+        message = "^channel_names length must match the number of columns$"
+        with pytest.raises(ValueError, match=message):
+            MultivariateSeries(data=np.zeros((10, 2)), channel_names=["a", "b", "c"])
 
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
     def test_sample_rate_must_be_positive_and_finite(self, rate):

@@ -259,6 +259,12 @@ class TestSimulateLorenzChain:
         deriv = _lorenz_chain_deriv([1.5, -2.0, 24.0] * 3, 0.6)
         assert deriv[0:3] == deriv[3:6] == deriv[6:9]
 
+    def test_divergence_raises(self):
+        # x1 drives the chain uncoupled, so a large c diverges x2 and x3 only
+        message = "^Lorenz integration produced non-finite values$"
+        with pytest.raises(NonFiniteState, match=message):
+            simulate_lorenz_chain(1000, c=1e4)
+
     def test_rejects_negative_coupling(self):
         # NaN too, before the integration would turn it into NonFiniteState
         for c in (-1.0, np.nan):
@@ -467,6 +473,15 @@ class TestSimulateNmm:
         cfg = dataclasses.replace(reproduction_nmm_config(), noise_mean=float("nan"))
         with pytest.raises(NonFiniteState):
             simulate_nmm(cfg, 5.0, 300, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_in_the_last_step_raises(self):
+        # g_e * h_e overflows, so step 0 makes the velocities x infinite while
+        # the potentials y stay 0.0 until step 1 adds dt * x: the two outputs
+        # the per-block check reads are 0.0, and only the final state is not finite
+        cfg = dataclasses.replace(reproduction_nmm_config(), g_e=1e308)
+        with pytest.raises(NonFiniteState, match="^neural mass integration diverged$"):
+            simulate_nmm(cfg, 5.0, 2, seed=0, transient_samples=0)
 
     @pytest.mark.parametrize(
         "changes, k_percent, seed, transient",
