@@ -173,7 +173,12 @@ def _block_rows(width: int) -> int:
 
 
 def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
-    """Pairwise conditional entropies for all ordered pairs over the lag grid."""
+    """Pairwise conditional entropies for all ordered pairs over the lag grid.
+
+    An entry whose counts leave the target uniform given every source symbol
+    is log2(m!) exactly, whichever side of it the float sum falls on, so a
+    lambda = 1 cut never takes it for a candidate.
+    """
     n = pi.n_channels
     f = pi.n_patterns
     h_max = log2(f)
@@ -188,13 +193,49 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
         tgt, src = np.nonzero(~np.eye(n, dtype=bool))
         lag_counts = _lagged_pair_counts(pi, delays, src, tgt)
         for j, (tau, pair_counts) in enumerate(zip(delays, lag_counts)):
-            values[tgt, src, j] = _conditional_entropy_from_counts(pair_counts, pi.n_times - tau)
+            h = _conditional_entropy_from_counts(pair_counts, pi.n_times - tau)
+            near = np.flatnonzero(abs(h - h_max) <= _NEAR_H_MAX)
+            h[near[_uniform_given_rows(pair_counts[near])]] = h_max
+            values[tgt, src, j] = h
         return CETensor(values=values, delays=delays, n_patterns=f)
     for j, tau in enumerate(delays):
         for src, tgt in permutations(range(n), 2):
             codes = _joint_codes(pi, [(src, tau)], tau, tgt)
-            values[tgt, src, j] = _entropy_of_codes(codes, f, f)
+            h = _entropy_of_codes(codes, f, f)
+            if abs(h - h_max) <= _NEAR_H_MAX and _uniform_given_source(codes, f):
+                h = h_max
+            values[tgt, src, j] = h
     return CETensor(values=values, delays=delays, n_patterns=f)
+
+
+# A pairwise CE this close to h_max, in bits, is decided on its integer
+# counts. The float sum of a CE that is exactly log2(m!) misses it by a few
+# ulps, near 1e-16, and can land on either side of a lambda = 1 cut; a pair
+# whose counts are not uniform keeps its float value, and lies this close
+# only when its counts are nearly uniform, so the exact test seldom runs.
+_NEAR_H_MAX = 1e-9
+
+
+def _uniform_given_rows(counts: np.ndarray) -> np.ndarray:
+    """Whether each f x f count matrix of a stack has H(col | row) = log2(f) exactly.
+
+    That holds when every row is uniform: f * c[a, b] == r[a] for every a
+    and b, with r the row sums. The counts are integers, so the test is
+    exact where the float entropy rounds to either side of log2(f).
+    """
+    counts = counts.astype(np.int64)
+    f = counts.shape[-1]
+    return np.all(f * counts == counts.sum(axis=-1, keepdims=True), axis=(-2, -1))
+
+
+def _uniform_given_source(codes: np.ndarray, f: int) -> bool:
+    """_uniform_given_rows of the base-f pair codes' counts, over the source symbols present."""
+    present, source = np.unique(codes // f, return_inverse=True)
+    # a uniform row holds every target symbol, so it takes at least f samples
+    if present.size * f > codes.size:
+        return False
+    counts = np.bincount(source * f + codes % f, minlength=present.size * f)
+    return bool(_uniform_given_rows(counts.reshape(-1, f)))
 
 
 def _lagged_pair_counts(pi: PatternMatrix, delays: DelayGrid, src, tgt):
@@ -204,8 +245,8 @@ def _lagged_pair_counts(pi: PatternMatrix, delays: DelayGrid, src, tgt):
     the t with channel src[p] in symbol a at t and channel tgt[p] in symbol b
     at t + tau_j, over t in [0, T' - tau_j), as the pair's joint codes count
     them. Only one lag's counts exist at a time, beside every lag's products.
-    No count exceeds T', so the counts are int32 while T' < 2^31, and int64
-    past that.
+    No count exceeds T', so the counts are uint16 while T' < 65,536, then
+    uint32 while T' < 2^32, and uint64 past that.
 
     The products count the symbols a, b < f - 1, and by their row of ones
     each channel's symbol counts over the lag's source and target rows. The
@@ -240,7 +281,8 @@ def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
     channel n in symbol b < g at t + tau_j. Index N*g is the row of ones, so
     the last column holds the source symbols' counts over rows [0, T' - tau_j),
     the last row the target symbols' over rows [tau_j, T'), and the corner
-    T' - tau_j.
+    T' - tau_j. The sums take the narrowest unsigned type of at least 16
+    bits that holds T'.
     """
     # a packed entry c_j + _PACK * c_(j+1) splits back only while c_j < _PACK
     if _ROW_BLOCK >= _PACK:
@@ -248,8 +290,12 @@ def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
     n_times, n = symbols.shape
     width = n * g + 1
     size = _block_rows(width)
-    count_dtype = np.promote_types(np.int32, np.min_scalar_type(-n_times))
+    # no sum exceeds T', and a split part, below _PACK, needs 16 bits
+    count_dtype = np.promote_types(np.uint16, np.min_scalar_type(n_times))
     sums = np.zeros((len(lags), width, width), dtype=count_dtype)
+    product = np.empty((width, width), dtype=np.float32)
+    both = np.empty((width, width), dtype=np.uint32)
+    part = np.empty((width, width), dtype=count_dtype)
     # a block encodes its own rows plus those of the lags up to one block
     # ahead; a farther lag's target rows are encoded on their own, so a lag
     # near T' does not stretch every block over the rows in between
@@ -278,12 +324,14 @@ def _indicator_products(symbols: np.ndarray, lags, g: int) -> np.ndarray:
                 np.multiply(target(lags[j + 1], k_next), _PACK, out=z[:, :k_next])
             z[:, k_next:] = 0
             z += target(lags[j], k)
-            # every entry is an integer below 2^24, exact in int32
-            both = (onehot[:, :k] @ z.T).astype(np.int32)
-            sums[j] += both & (_PACK - 1)
+            np.matmul(onehot[:, :k], z.T, out=product)
+            # every entry is an integer below 2^24, exact in uint32
+            np.copyto(both, product, casting="unsafe")
+            np.bitwise_and(both, _PACK - 1, out=part)
+            sums[j] += part
             if k_next:
-                both >>= _PACK_BITS
-                sums[j + 1] += both
+                np.right_shift(both, _PACK_BITS, out=part)
+                sums[j + 1] += part
     return sums
 
 

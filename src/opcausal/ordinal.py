@@ -152,8 +152,12 @@ def embed(x: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     return np.column_stack(cols)
 
 
-# rows encoded per pass, so the int8 counts of a block stay a few hundred KB
+# Rows encoded per pass: _BLOCK_ROWS up to 9 channels and fewer beyond, so
+# that a block holds at most _BLOCK_SAMPLES samples and its int8 counts,
+# int32 codes and their temporaries take about 0.74 traced MB at m = 3
+# whatever the width (1024 rows at N = 36).
 _BLOCK_ROWS = 4096
+_BLOCK_SAMPLES = 9 * _BLOCK_ROWS
 
 
 def _encode(data: np.ndarray, params: EmbeddingParams) -> np.ndarray:
@@ -170,8 +174,9 @@ def _encode(data: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     n_vectors = _n_vectors(data.shape[0], params)
     weights = np.array([factorial(m - 1 - r) for r in range(m)], dtype=np.int32)
     out = np.empty((n_vectors, data.shape[1]), dtype=params.symbol_dtype, order="F")
-    for r0 in range(0, n_vectors, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, n_vectors)
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_SAMPLES // data.shape[1]))
+    for r0 in range(0, n_vectors, rows):
+        r1 = min(r0 + rows, n_vectors)
         x = [data[r0 + k * d : r1 + k * d] for k in range(m)]
         inv = np.zeros((m, *x[0].shape), dtype=np.int8)
         rank = np.zeros_like(inv)

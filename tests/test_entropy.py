@@ -471,6 +471,47 @@ class TestCETensor:
                         )
                     assert t.values[tgt, src, j] == want
 
+    # pairs whose target is uniform given each source symbol, with rows of
+    # k * m! samples for each k listed, so that H is log2(m!) exactly: the
+    # float sum misses it by 1-3 ulps, on the products (m = 2, 3), the
+    # dense bincounts (m = 4, 5) and the distinct-code counts (m = 7)
+    @pytest.mark.parametrize(
+        "m, rows",
+        [
+            (2, [2, 1]),
+            (3, [1, 2, 3, 1, 1, 3]),
+            (4, [3, 2, 2, 1, 1, 0, 0, 0, 0, 3, 2, 3, 2, 2, 3, 2, 2, 2, 2, 3, 1, 3, 2, 0]),
+            (5, [2, 1, 3]),
+            (7, [3, 1]),
+        ],
+    )
+    def test_a_uniform_pair_is_h_max_exactly(self, rng, m, rows):
+        f = math.factorial(m)
+        source = np.repeat(np.arange(len(rows)), f * np.array(rows))
+        target = np.concatenate([np.tile(np.arange(f), k) for k in rows])
+        order = rng.permutation(source.size)
+        # channel 1 at t + 1 follows channel 0 at t
+        symbols = np.stack([np.r_[source[order], 0], np.r_[0, target[order]]], axis=1)
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+        counts = np.zeros((f, f), dtype=np.int64)
+        np.add.at(counts, (source, target), 1)
+        assert entropy._conditional_entropy_from_counts(counts, source.size) != log2(f)
+        assert ce_tensor(pi, DelayGrid([1])).values[1, 0, 0] == log2(f)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_a_nearly_uniform_pair_keeps_its_float_sum(self, rng, m):
+        # a source that stays in one symbol, and a target that shows every
+        # symbol 30,000 times but one sample moved from symbol 0 to 1: H lies
+        # within _NEAR_H_MAX below log2(m!), and the exact test leaves it
+        f = math.factorial(m)
+        target = rng.permutation(np.repeat(np.arange(f), 30_000))
+        target[np.flatnonzero(target == 0)[0]] = 1
+        symbols = np.stack([np.zeros(target.size + 1, dtype=int), np.r_[0, target]], axis=1)
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+        want = conditional_entropy_given_set(pi, 1, ConditioningSet([(0, 1)]))
+        assert 0 < log2(f) - want <= entropy._NEAR_H_MAX
+        assert ce_tensor(pi, DelayGrid([1])).values[1, 0, 0] == want
+
     # the products count two lags at once on the symbols below f - 1: an even
     # and an odd grid, with lag 0 and lags past one row block, paired with a
     # near lag, with each other and alone, and a grid of far lags only, whose
@@ -502,7 +543,25 @@ class TestCETensor:
         src, tgt = np.divmod(np.arange(n * n), n)
         lag_counts = entropy._lagged_pair_counts(pi, DelayGrid(lags), src, tgt)
         for tau, got in zip(lags, lag_counts, strict=True):
-            assert got.dtype == np.int32 and got.shape == (n * n, f, f)
+            assert got.dtype == np.uint16 and got.shape == (n * n, f, f)
+            for p in range(n * n):
+                codes = symbols[: n_times - tau, src[p]] * f + symbols[tau:, tgt[p]]
+                want = np.bincount(codes, minlength=f * f).reshape(f, f)
+                np.testing.assert_array_equal(got[p], want)
+
+    # a channel that shows symbol 0 throughout counts T' with itself at lag 0:
+    # 65,535 is uint16's largest value, and from T' = 65,536 the counts widen
+    @pytest.mark.parametrize("n_times, dtype", [(65_535, np.uint16), (65_536, np.uint32)])
+    def test_counts_widen_when_uint16_cannot_hold_t_prime(self, rng, n_times, dtype):
+        f, n = 6, 3
+        symbols = rng.integers(0, f, size=(n_times, n))
+        symbols[:, 2] = 0
+        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
+        lags = [0, 1, entropy._ROW_BLOCK + 3]
+        src, tgt = np.divmod(np.arange(n * n), n)
+        lag_counts = entropy._lagged_pair_counts(pi, DelayGrid(lags), src, tgt)
+        for tau, got in zip(lags, lag_counts, strict=True):
+            assert got.dtype == dtype
             for p in range(n * n):
                 codes = symbols[: n_times - tau, src[p]] * f + symbols[tau:, tgt[p]]
                 want = np.bincount(codes, minlength=f * f).reshape(f, f)
@@ -519,12 +578,13 @@ class TestCETensor:
 
     def test_wide_tensor_peak_memory_stays_at_the_per_lag_products(self, rng):
         # 36 channels at m=3, T' about 2e4 and the CLI's lags 1-10, the shape
-        # of one wide_infer item. Every lag's products, one lag's counts and
-        # block buffers sized by the width (1035 samples) peak at
-        # 3,336,092-3,336,772 traced bytes over seven rng seeds (numpy
-        # 2.4.6); the bound keeps the 4.8% margin the earlier bounds had
-        # over their designs (7,838,480 over 7,479,648, then 5,011,947 over
-        # 4,782,508 with all lags' counts and 2048-sample blocks)
+        # of one wide_infer item. Every lag's products summed as uint16, one
+        # lag's counts, block buffers sized by the width (1035 samples) and
+        # three product buffers peak at 2,714,414-2,715,126 traced bytes
+        # over seven rng seeds (numpy 2.4.6); the bound keeps the 4.8%
+        # margin the earlier bounds had over their designs (7,838,480 over
+        # 7,479,648, then 5,011,947 over 4,782,508 with all lags' counts and
+        # 2048-sample blocks, then 3,496,852 over 3,336,772 with int32 sums)
         pi = PatternMatrix(
             symbols=rng.integers(0, 6, size=(19_998, 36)), params=EmbeddingParams(m=3, d=1)
         )
@@ -534,7 +594,7 @@ class TestCETensor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3_496_852
+        assert peak <= 2_845_452
 
     def test_order_7_counts_sparse_pairs_in_little_memory(self, rng):
         # 5040^2 joint bins per pair: a dense count would hold 203 MB of

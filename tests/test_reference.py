@@ -34,6 +34,9 @@ GRIDS = ((1, 2, 3), (2, 5), (1, 4, 6, 9), (0,), (0, 1, 2), (0, 3, 4))
 # at m=2 its CE of channel 0 given channel 1 at lag 2 is 1 bit, the cut at
 # lambda 1: the table's sum gives 1.0 and the reference's 1 - 2^-53
 ON_THE_CUT = MultivariateSeries(data=np.random.default_rng(121).standard_normal((51, 2)))
+# at m=2 its CE of channel 1 given channel 0 at lag 2 is 1 bit, and the
+# tensor's float sum of it was 1 - 2^-53
+BELOW_THE_CUT = MultivariateSeries(data=np.random.default_rng(256).standard_normal((51, 2)))
 
 
 def reference_conditioning_set(values, delays, m, n, size, h_max=H_MAX):
@@ -207,3 +210,19 @@ def test_evidence_table_matches_the_reference(drawn):
     ]
     for row, (*_, epsilon) in zip(table.rows, want_rows):
         assert row.epsilon == pytest.approx(epsilon, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "series, target, source", [(ON_THE_CUT, 0, 1), (BELOW_THE_CUT, 1, 0)], ids=["on", "below"]
+)
+def test_an_uninformative_pair_is_no_candidate_at_lambda_1(series, target, source):
+    params, delays = EmbeddingParams(m=2, d=1), (1, 2, 3)
+    pi = build_moptn(series, params)
+    columns = [col.tolist() for col in pi.symbols.T]
+    # each source symbol at t - 2 is followed by either target symbol equally often
+    joint = Counter(zip(columns[source][:-2], columns[target][2:]))
+    assert all(joint[(a, 0)] == joint[(a, 1)] > 0 for a in (0, 1))
+    values = ce_tensor(pi, DelayGrid(delays)).values
+    assert values[target, source, delays.index(2)] == 1.0
+    table = evidence_table(series, params, DelayGrid(delays), 1.0)
+    assert (target, source, 2) not in {(r.target, r.source, r.delay) for r in table.rows}
