@@ -210,9 +210,10 @@ def ce_tensor(pi: PatternMatrix, delays: DelayGrid) -> CETensor:
 
 # A pairwise CE this close to h_max, in bits, is decided on its integer
 # counts. The float sum of a CE that is exactly log2(m!) misses it by a few
-# ulps, near 1e-16, and can land on either side of a lambda = 1 cut; a pair
-# whose counts are not uniform keeps its float value, and lies this close
-# only when its counts are nearly uniform, so the exact test seldom runs.
+# ulps (1e-16 at m = 2, 5e-15 at m = 7), to either side of a lambda = 1
+# cut; a pair whose counts are not uniform keeps its float value, and lies
+# this close only when its counts are nearly uniform, so the exact test
+# seldom runs.
 _NEAR_H_MAX = 1e-9
 
 

@@ -105,6 +105,21 @@ def composed_conditional_entropy_given_set(pi, target, members, t_start):
     return float(-terms.reshape(-1).sum())
 
 
+def assert_pair_counts_equal_bincounts(symbols, m, lags, dtype):
+    """_lagged_pair_counts of every ordered pair, a channel with itself too, against bincounts."""
+    n_times, n = symbols.shape
+    f = math.factorial(m)
+    pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
+    src, tgt = np.divmod(np.arange(n * n), n)
+    lag_counts = entropy._lagged_pair_counts(pi, DelayGrid(lags), src, tgt)
+    for tau, got in zip(lags, lag_counts, strict=True):
+        assert got.dtype == dtype and got.shape == (n * n, f, f)
+        for p in range(n * n):
+            codes = symbols[: n_times - tau, src[p]] * f + symbols[tau:, tgt[p]]
+            want = np.bincount(codes, minlength=f * f).reshape(f, f)
+            np.testing.assert_array_equal(got[p], want)
+
+
 symbol_sequences = st.lists(st.integers(0, 5), min_size=5, max_size=50)
 
 
@@ -533,39 +548,21 @@ class TestCETensor:
         symbols = rng.integers(0, f, size=(n_times, n))
         symbols[:, 1] = rng.integers(0, f - 1, size=n_times)
         symbols[:, 2] = f - 1
-        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=m, d=1))
         if grid == "even":
             lags = [0, 1, 5, block + 3]
         elif grid == "far":
             lags = [block + 1, block + 5]
         else:
             lags = [0, 2, block + 1, block + 2, n_times - 1]
-        src, tgt = np.divmod(np.arange(n * n), n)
-        lag_counts = entropy._lagged_pair_counts(pi, DelayGrid(lags), src, tgt)
-        for tau, got in zip(lags, lag_counts, strict=True):
-            assert got.dtype == np.uint16 and got.shape == (n * n, f, f)
-            for p in range(n * n):
-                codes = symbols[: n_times - tau, src[p]] * f + symbols[tau:, tgt[p]]
-                want = np.bincount(codes, minlength=f * f).reshape(f, f)
-                np.testing.assert_array_equal(got[p], want)
+        assert_pair_counts_equal_bincounts(symbols, m, lags, np.uint16)
 
     # a channel that shows symbol 0 throughout counts T' with itself at lag 0:
     # 65,535 is uint16's largest value, and from T' = 65,536 the counts widen
     @pytest.mark.parametrize("n_times, dtype", [(65_535, np.uint16), (65_536, np.uint32)])
     def test_counts_widen_when_uint16_cannot_hold_t_prime(self, rng, n_times, dtype):
-        f, n = 6, 3
-        symbols = rng.integers(0, f, size=(n_times, n))
+        symbols = rng.integers(0, 6, size=(n_times, 3))
         symbols[:, 2] = 0
-        pi = PatternMatrix(symbols=symbols, params=EmbeddingParams(m=3, d=1))
-        lags = [0, 1, entropy._ROW_BLOCK + 3]
-        src, tgt = np.divmod(np.arange(n * n), n)
-        lag_counts = entropy._lagged_pair_counts(pi, DelayGrid(lags), src, tgt)
-        for tau, got in zip(lags, lag_counts, strict=True):
-            assert got.dtype == dtype
-            for p in range(n * n):
-                codes = symbols[: n_times - tau, src[p]] * f + symbols[tau:, tgt[p]]
-                want = np.bincount(codes, minlength=f * f).reshape(f, f)
-                np.testing.assert_array_equal(got[p], want)
+        assert_pair_counts_equal_bincounts(symbols, 3, [0, 1, entropy._ROW_BLOCK + 3], dtype)
 
     def test_row_block_must_stay_below_the_packing_factor(self, rng, monkeypatch):
         # a block of _PACK rows could count _PACK, which overflows into the packed second lag
